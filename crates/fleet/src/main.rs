@@ -13,10 +13,10 @@
 //! - `events.jsonl` — one wide [`JobEvent`] line per job, in global job
 //!   order, with trace/span ids minted deterministically from
 //!   `(run_id, job)` ([`qa_obs::TraceContext`]): the identity fields are
-//!   byte-identical across reruns, `--jobs N` *and* `--mesh N` (only the
-//!   trailing worker/shard/wall-clock fields vary);
+//!   byte-identical across reruns and `--jobs N` (only the trailing
+//!   worker/shard/wall-clock fields vary);
 //! - `fleet-trace.json` — the job events assembled into one Chrome
-//!   trace-event timeline (`qa_mesh::federate_trace`), with
+//!   trace-event timeline ([`trace::fleet_trace`]), with
 //!   `process_name`/`thread_name` metadata so Perfetto labels tracks;
 //! - `summary.txt` — per-query table plus fleet-wide step/latency
 //!   percentiles (also printed to stdout);
@@ -25,16 +25,14 @@
 //!   visit histograms and transition heatmaps per machine, the
 //!   collapsed-stack rendering, and the `EXPLAIN ANALYZE` report.
 //!   Per-run profilers are deterministic and the merge is commutative, so
-//!   all three files are **byte-identical** across reruns, `--jobs N`
-//!   and `--mesh N`;
+//!   all three files are **byte-identical** across reruns and `--jobs N`;
 //! - `postmortem.txt` — flight-recorder dump of the first failed run, if
 //!   any run tripped its budget or errored; with `--slo`, also the names
 //!   of any alerts still firing at batch end;
 //! - `alerts.log` — with `--slo RULES`, the deterministic alert-transition
 //!   log: after the batch every job is replayed through a
 //!   `qa_sentinel::Replay` in global job order (one logical tick per job),
-//!   so the file is byte-identical across reruns, `--jobs N` and mesh
-//!   topologies. Any alert firing at the end of the replay is named in
+//!   so the file is byte-identical across reruns and `--jobs N`. Any alert firing at the end of the replay is named in
 //!   `postmortem.txt` and makes the fleet exit 1.
 //!
 //! With `--serve ADDR` a [`PulseServer`] binds next to the batch and
@@ -65,20 +63,6 @@
 //! `summary.txt`/`metrics.prom` is flushed immediately, so a later hang or
 //! kill still leaves telemetry on disk.
 //!
-//! With `--mesh N` the binary becomes a **coordinator**: it re-spawns
-//! itself as N `--shard i/N --serve` workers on loopback (via `qa-mesh`),
-//! deals the job grid round-robin, polls worker `/healthz`/`/readyz` into
-//! liveness timelines, scrapes each worker after `pulse: run complete`,
-//! and federates the results: `metrics.prom` (merged registry —
-//! **byte-identical across shard counts**, because `Metrics::merge` is
-//! commutative), `profile.folded` (worker-prefixed collapsed stacks),
-//! `flight.json` (correlation-stamped worker dumps under one run id), and
-//! `summary.txt` (per-worker table with timelines). A worker that dies
-//! mid-batch has its shard reassigned to a fresh worker; the coordinator
-//! then exits 1 (degraded) and `postmortem.txt` names the dead worker and
-//! its exact in-flight jobs. `--chaos-kill I` makes the coordinator
-//! SIGKILL shard I's original worker mid-batch on purpose.
-//!
 //! With `--scrape-every-ms MS` (and `--slo`) a background loop
 //! additionally scrapes the in-process fleet registry into the live
 //! sentinel on a wall-clock cadence — the ops-facing feed behind
@@ -95,8 +79,6 @@
 //!          [--max-steps N] [--max-wall-ms MS] [--out-dir DIR] [--smoke]
 //!          [--serve ADDR] [--pace-ms MS] [--linger-ms MS]
 //!          [--slo RULES] [--scrape-every-ms MS]
-//!          [--mesh N] [--chaos-kill I]
-//!          [--shard I/N] [--worker-id ID] [--run-id ID]
 //! ```
 //!
 //! `--sweep` scales each document's size by its doc index (doc `di` gets
@@ -116,8 +98,8 @@ use qa_base::{Alphabet, Error, Symbol};
 use qa_core::ranked::query::example_4_4;
 use qa_core::unranked::query::{example_5_14, example_5_9};
 use qa_flight::{
-    parse_events, Budget, FlightRecorder, JobEvent, OneInN, Reservoir, Sampled, SharedEvents,
-    SharedFlight, Watchdog,
+    Budget, FlightRecorder, JobEvent, OneInN, Reservoir, Sampled, SharedEvents, SharedFlight,
+    Watchdog,
 };
 use qa_obs::{percentile_sorted, Counter, Metrics, NoopObserver, RunTrace, Tee, TraceContext};
 use qa_probe::export::chrome_trace;
@@ -127,12 +109,19 @@ use qa_sentinel::{parse_rules, AlertRule, JobStats, Replay, SharedSentinel};
 use qa_trees::Tree;
 use qa_twoway::string_qa::example_3_4_qa;
 
+mod trace;
+
 // Opt-in heap accounting: build with `--features alloc-count` and every
 // `qa_heap_*` gauge on `/metrics` (and the `?weight=alloc` profile) goes
 // live. The default build keeps the untouched system allocator.
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
 static ALLOC: qa_pulse::CountingAlloc = qa_pulse::CountingAlloc::new();
+
+/// Placement fields stamped on every wide event: one in-process worker
+/// holding the whole (single) shard.
+const WORKER: &str = "local";
+const SHARD: &str = "0/1";
 
 /// One finished run's slot: the outcome, its sampled trace (if any), and
 /// its wide event.
@@ -144,8 +133,6 @@ const USAGE: &str = "usage:
            [--max-steps N] [--max-wall-ms MS] [--out-dir DIR] [--smoke]
            [--serve ADDR] [--pace-ms MS] [--linger-ms MS]
            [--slo RULES] [--scrape-every-ms MS]
-           [--mesh N] [--chaos-kill I]
-           [--shard I/N] [--worker-id ID] [--run-id ID]
 
 queries cycle through the paper's running examples:
   example-3-4 (string), example-4-4 (ranked circuit),
@@ -157,7 +144,7 @@ input shape `qa-trace analyze growth` fits step-growth exponents from.
 --scope attaches a per-state execution profiler to every run and exports
 scope.json (raw visit/transition tables), scope.folded (collapsed-stack
 state heatmap) and explain.txt (EXPLAIN ANALYZE report) — byte-identical
-across --jobs N and --mesh N; with --serve, GET /explain answers live
+across --jobs N; with --serve, GET /explain answers live
 (?query=NAME filters to one workload, ?format=json for the report JSON).
 
 --serve binds a live ops HTTP server (try ADDR 127.0.0.1:0) answering
@@ -169,14 +156,7 @@ server up after the batch until the deadline or a GET /quit.
 job is replayed through the alert engine in global job order (alerts.log,
 deterministic), firing alerts are named in postmortem.txt and make the
 fleet exit 1. --scrape-every-ms MS adds a live wall-clock scrape loop
-feeding the /series and /alerts endpoints while the batch runs.
-
---mesh N runs a coordinator that re-spawns this binary as N sharded
---serve workers, federates their metrics/profiles/flight dumps, and
-reassigns the shard of any worker that dies mid-batch (exit 1 if so);
---chaos-kill I SIGKILLs shard I's original worker mid-batch on purpose.
---shard/--worker-id/--run-id are the worker-side flags the coordinator
-passes; by hand they run just that slice of the job grid.";
+feeding the /series and /alerts endpoints while the batch runs.";
 
 struct Opts {
     queries: usize,
@@ -202,13 +182,6 @@ struct Opts {
     slo: Option<String>,
     /// Live scrape-loop period; 0 disables the wall-clock loop.
     scrape_every_ms: u64,
-    /// Worker mode: run only jobs `g` with `g % count == index`.
-    shard: Option<(usize, usize)>,
-    worker_id: Option<String>,
-    run_id: Option<String>,
-    /// Coordinator mode: spawn this many sharded workers and federate.
-    mesh: Option<usize>,
-    chaos_kill: Option<usize>,
 }
 
 impl Default for Opts {
@@ -231,11 +204,6 @@ impl Default for Opts {
             linger_ms: 0,
             slo: None,
             scrape_every_ms: 0,
-            shard: None,
-            worker_id: None,
-            run_id: None,
-            mesh: None,
-            chaos_kill: None,
         }
     }
 }
@@ -278,26 +246,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--scrape-every-ms" => {
                 o.scrape_every_ms = val(&mut it, arg)?.parse().map_err(|e| format!("{e}"))?
             }
-            "--shard" => {
-                let spec = val(&mut it, arg)?;
-                let (i, n) = spec
-                    .split_once('/')
-                    .ok_or(format!("--shard wants I/N, got {spec}"))?;
-                let (i, n) = (
-                    i.parse::<usize>().map_err(|e| format!("{e}"))?,
-                    n.parse::<usize>().map_err(|e| format!("{e}"))?,
-                );
-                if n == 0 || i >= n {
-                    return Err(format!("--shard {spec}: need I < N and N >= 1"));
-                }
-                o.shard = Some((i, n));
-            }
-            "--worker-id" => o.worker_id = Some(val(&mut it, arg)?),
-            "--run-id" => o.run_id = Some(val(&mut it, arg)?),
-            "--mesh" => o.mesh = Some(val(&mut it, arg)?.parse().map_err(|e| format!("{e}"))?),
-            "--chaos-kill" => {
-                o.chaos_kill = Some(val(&mut it, arg)?.parse().map_err(|e| format!("{e}"))?)
-            }
             "--smoke" => {
                 o.queries = 4;
                 o.docs = 3;
@@ -312,35 +260,13 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     if o.queries == 0 || o.docs == 0 || o.size == 0 || o.jobs == 0 {
         return Err("--queries, --docs, --size and --jobs must be >= 1".to_string());
     }
-    if let Some(mesh) = o.mesh {
-        if mesh == 0 {
-            return Err("--mesh must be >= 1".to_string());
-        }
-        if o.shard.is_some() {
-            return Err("--mesh and --shard are mutually exclusive".to_string());
-        }
-        if o.serve.is_some() {
-            return Err(
-                "--serve is a worker-side flag; the mesh coordinator does not serve".to_string(),
-            );
-        }
-        if let Some(k) = o.chaos_kill {
-            if k >= mesh {
-                return Err(format!("--chaos-kill {k} is not a shard of --mesh {mesh}"));
-            }
-        }
-    } else if o.chaos_kill.is_some() {
-        return Err("--chaos-kill requires --mesh".to_string());
-    }
     Ok(o)
 }
 
-/// The default run id — one formula for every mode (in-process batch,
-/// mesh coordinator, shard worker). Trace/span ids derive from
-/// `(run_id, job)`, so sharing the formula across modes is what makes the
-/// `events.jsonl` identity fields byte-identical across `--jobs N` and
-/// `--mesh N` on the same corpus.
-fn default_run_id(o: &Opts) -> String {
+/// The run id: a pure function of the corpus flags. Trace/span ids derive
+/// from `(run_id, job)`, so the `events.jsonl` identity fields are
+/// byte-identical across reruns and `--jobs N` on the same corpus.
+fn run_id(o: &Opts) -> String {
     format!(
         "fleet-s{}-q{}x{}-z{}{}",
         o.seed,
@@ -613,16 +539,6 @@ fn render_summary(
         opts.size,
         opts.seed
     );
-    if let Some((i, n)) = opts.shard {
-        let _ = writeln!(
-            out,
-            "shard {i}/{n} (worker {}, run {}): {} of {} grid job(s)",
-            opts.worker_id.as_deref().unwrap_or("?"),
-            opts.run_id.as_deref().unwrap_or("local"),
-            outcomes.len(),
-            opts.queries * opts.docs
-        );
-    }
     let _ = writeln!(
         out,
         "{:<14} {:>5} {:>7} {:>12} {:>10} {:>10}",
@@ -724,7 +640,7 @@ fn flush_partial(opts: &Opts, out_dir: &Path, slots: &[RunSlot], state: &PulseSt
 
 /// Merge every per-workload profiler into one fleet-wide profiler.
 /// Commutative merges over sorted tables: the result is independent of
-/// job interleaving and shard topology.
+/// job interleaving.
 fn merged_scope(scopes: &BTreeMap<String, ScopeProfiler>) -> ScopeProfiler {
     let mut merged = ScopeProfiler::new();
     for s in scopes.values() {
@@ -742,399 +658,6 @@ fn scope_exports(merged: &ScopeProfiler) -> [(&'static str, String); 3] {
     ]
 }
 
-/// Parse a completed worker's scraped step count for the summary table
-/// (`?` when the scrape is missing or unparseable — the table is
-/// best-effort; the federated registry is the source of truth).
-fn scraped_steps(report: &qa_mesh::WorkerReport) -> String {
-    report
-        .scrape
-        .as_ref()
-        .and_then(|s| qa_pulse::parse_prometheus(&s.metrics).ok())
-        .and_then(|s| s.to_metrics("qa_fleet").ok())
-        .map(|m| m.get(Counter::Steps).to_string())
-        .unwrap_or_else(|| "?".to_string())
-}
-
-/// The coordinator's federated summary: run header, per-worker table with
-/// liveness timelines, casualty notes, and the degraded verdict.
-fn render_mesh_summary(
-    opts: &Opts,
-    run_id: &str,
-    plan: &qa_mesh::ShardPlan,
-    outcome: &qa_mesh::MeshOutcome,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "qa-mesh run {run_id}: {} job(s) over {} shard(s), size {}, seed {}",
-        plan.jobs, plan.shards, opts.size, opts.seed
-    );
-    let _ = writeln!(
-        out,
-        "{:<10} {:>5} {:>5} {:>5} {:>5} {:>12}  liveness",
-        "worker", "shard", "jobs", "done", "exit", "steps"
-    );
-    let mut reports: Vec<&qa_mesh::WorkerReport> = outcome.reports.iter().collect();
-    reports.sort_by_key(|r| (r.shard, r.respawn));
-    for r in &reports {
-        let exit = match r.exit_code {
-            Some(c) => c.to_string(),
-            None => "sig".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "{:<10} {:>5} {:>5} {:>5} {:>5} {:>12}  {}",
-            r.worker_id,
-            r.shard,
-            plan.len_for(r.shard),
-            r.jobs_done.len(),
-            exit,
-            scraped_steps(r),
-            r.timeline.render()
-        );
-    }
-    for dead in outcome.casualties() {
-        let cause = if dead.chaos_killed {
-            "chaos-killed"
-        } else {
-            "died"
-        };
-        let _ = writeln!(
-            out,
-            "worker {} {cause} mid-batch with {} job(s) in flight; shard {} reassigned",
-            dead.worker_id,
-            dead.in_flight_at_death.len(),
-            dead.shard
-        );
-    }
-    if outcome.scrape_retries > 0 {
-        // Coordinator-local accounting: flaky scrapes are worth a line in
-        // the ops summary, but never a counter in the federated registry.
-        let _ = writeln!(out, "scrape retries: {}", outcome.scrape_retries);
-    }
-    let _ = writeln!(
-        out,
-        "degraded: {}",
-        if outcome.degraded { "yes" } else { "no" }
-    );
-    out
-}
-
-/// The federated post-mortem: for every dead worker, exactly which jobs
-/// it owned, finished, had in flight, and never reached — plus where the
-/// shard went next.
-fn render_mesh_postmortem(
-    run_id: &str,
-    plan: &qa_mesh::ShardPlan,
-    outcome: &qa_mesh::MeshOutcome,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "=== mesh postmortem: run {run_id} ===");
-    for dead in outcome.casualties() {
-        let assigned = plan.jobs_for(dead.shard);
-        let never_started: Vec<usize> = assigned
-            .iter()
-            .copied()
-            .filter(|j| !dead.jobs_done.contains(j) && !dead.in_flight_at_death.contains(j))
-            .collect();
-        let replacement = outcome
-            .reports
-            .iter()
-            .find(|r| r.shard == dead.shard && r.respawn == dead.respawn + 1)
-            .map(|r| r.worker_id.clone())
-            .unwrap_or_else(|| "nobody".to_string());
-        let _ = writeln!(
-            out,
-            "worker {} (shard {}/{}) died before completing its shard",
-            dead.worker_id, dead.shard, plan.shards
-        );
-        let _ = writeln!(
-            out,
-            "  exit: {}",
-            match dead.exit_code {
-                Some(c) => format!("code {c}"),
-                None => "killed by signal".to_string(),
-            }
-        );
-        let _ = writeln!(out, "  chaos-killed: {}", dead.chaos_killed);
-        let _ = writeln!(out, "  assigned {} job(s): {:?}", assigned.len(), assigned);
-        let _ = writeln!(
-            out,
-            "  completed before death ({}): {:?}",
-            dead.jobs_done.len(),
-            dead.jobs_done
-        );
-        let _ = writeln!(
-            out,
-            "  in flight at death ({}): {:?}",
-            dead.in_flight_at_death.len(),
-            dead.in_flight_at_death
-        );
-        let _ = writeln!(
-            out,
-            "  never started ({}): {:?}",
-            never_started.len(),
-            never_started
-        );
-        let _ = writeln!(out, "  shard reassigned to {replacement}");
-    }
-    out
-}
-
-/// `--mesh N`: spawn N sharded copies of this binary, supervise them, and
-/// federate their telemetry. With `--slo`, the coordinator replays the
-/// federated `events.jsonl` through the same deterministic [`Replay`] the
-/// in-process fleet uses, so `alerts.log` is byte-identical to an
-/// unsharded run over the same corpus. Exit 0 clean, 1 degraded (any
-/// worker died or exited non-zero — even when reassignment repaired the
-/// run) or when an SLO alert is firing at batch end, 2 on
-/// coordinator-level errors.
-fn run_coordinator(opts: &Opts, slo_rules: Option<Vec<AlertRule>>) -> ExitCode {
-    use qa_mesh::{
-        federate_events, federate_flight, federate_metrics, federate_profile, federate_trace,
-        run_mesh, MeshOptions,
-    };
-
-    let shards = opts.mesh.expect("coordinator mode");
-    let plan = qa_mesh::ShardPlan::new(shards, opts.queries * opts.docs);
-    // The default run id deliberately omits the shard count: trace/span
-    // ids derive from (run_id, job), and the same corpus must mint the
-    // same ids whether it runs in-process or over any number of shards.
-    let run_id = opts.run_id.clone().unwrap_or_else(|| default_run_id(opts));
-    let out_dir = Path::new(&opts.out_dir);
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("cannot create {}: {e}", opts.out_dir);
-        return ExitCode::from(2);
-    }
-    // Workers are this same binary re-spawned in --shard mode: no second
-    // executable to locate, and the coordinator/worker pair can never skew
-    // versions.
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot locate own binary: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut mesh_opts = MeshOptions::new(&run_id, plan);
-    mesh_opts.chaos_kill = opts.chaos_kill;
-    // The live sentinel rides the coordinator's poll loop: mid-run worker
-    // scrapes land as per-worker series and evaluate the rules fleet-wide.
-    // Ops-only — the deterministic alert pass is the replay below.
-    if opts.scrape_every_ms > 0 {
-        mesh_opts.scrape_interval = Some(Duration::from_millis(opts.scrape_every_ms));
-        mesh_opts.sentinel = Some(SharedSentinel::new(slo_rules.clone().unwrap_or_default()));
-    }
-    let outcome = run_mesh(&mesh_opts, |shard, worker_id| {
-        let mut cmd = std::process::Command::new(&exe);
-        if opts.sweep {
-            cmd.arg("--sweep");
-        }
-        if opts.scope {
-            cmd.arg("--scope");
-        }
-        cmd.arg("--queries")
-            .arg(opts.queries.to_string())
-            .arg("--docs")
-            .arg(opts.docs.to_string())
-            .arg("--size")
-            .arg(opts.size.to_string())
-            .arg("--seed")
-            .arg(opts.seed.to_string())
-            .arg("--jobs")
-            .arg(opts.jobs.to_string())
-            .arg("--sample-every")
-            .arg(opts.sample_every.to_string())
-            .arg("--reservoir")
-            .arg(opts.reservoir.to_string())
-            .arg("--max-steps")
-            .arg(opts.max_steps.to_string())
-            .arg("--max-wall-ms")
-            .arg(opts.max_wall.as_millis().to_string())
-            .arg("--pace-ms")
-            .arg(opts.pace_ms.to_string())
-            .arg("--out-dir")
-            .arg(out_dir.join(worker_id))
-            .arg("--serve")
-            .arg("127.0.0.1:0")
-            // Long linger: the worker holds its endpoints after `run
-            // complete` until the coordinator scrapes it and GETs /quit.
-            .arg("--linger-ms")
-            .arg("600000")
-            .arg("--shard")
-            .arg(format!("{shard}/{shards}"))
-            .arg("--worker-id")
-            .arg(worker_id)
-            .arg("--run-id")
-            .arg(&run_id);
-        cmd
-    });
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("qa-mesh: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    // Federate the completed workers' scrapes. Merging parsed registries
-    // makes metrics.prom byte-identical across shard counts; profiles and
-    // flight dumps keep worker attribution instead.
-    let completed = outcome.completed();
-    let federated = match federate_metrics(
-        completed
-            .iter()
-            .filter_map(|r| r.scrape.as_ref())
-            .map(|s| s.metrics.as_str()),
-        "qa_fleet",
-    ) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("qa-mesh: metrics federation failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let profile_inputs: Vec<(String, String)> = completed
-        .iter()
-        .filter_map(|r| {
-            r.scrape
-                .as_ref()
-                .map(|s| (r.worker_id.clone(), s.profile.clone()))
-        })
-        .collect();
-    let flight_inputs: Vec<String> = completed
-        .iter()
-        .filter_map(|r| r.scrape.as_ref().map(|s| s.flight.clone()))
-        .collect();
-    let event_inputs: Vec<(String, String)> = completed
-        .iter()
-        .filter_map(|r| {
-            r.scrape
-                .as_ref()
-                .map(|s| (r.worker_id.clone(), s.events.clone()))
-        })
-        .collect();
-
-    let summary = render_mesh_summary(opts, &run_id, &plan, &outcome);
-    print!("{summary}");
-
-    let mut io_err = None;
-    let mut write = |name: &str, contents: &str| {
-        if let Err(e) = std::fs::write(out_dir.join(name), contents) {
-            io_err = Some(format!("cannot write {name}: {e}"));
-        }
-    };
-    write("summary.txt", &summary);
-    write(
-        "metrics.prom",
-        &qa_pulse::metrics_text(&federated, "qa_fleet"),
-    );
-    write("profile.folded", &federate_profile(&profile_inputs));
-    write("flight.json", &federate_flight(&run_id, &flight_inputs));
-    // The wide-event federation: worker /events tails merge in global job
-    // order (identity fields byte-identical to an in-process run), and
-    // the same scrapes assemble into one Perfetto-loadable fleet
-    // timeline with a named process per worker.
-    let events_jsonl = federate_events(&event_inputs);
-    write("events.jsonl", &events_jsonl);
-    write("fleet-trace.json", &federate_trace(&run_id, &event_inputs));
-    // Scope federation: each completed worker wrote its merged scope.json
-    // before announcing `pulse: run complete`; the coordinator merges the
-    // files. ScopeProfiler::merge is commutative and associative, so the
-    // federated tables — and all three exports — are byte-identical to an
-    // unsharded run over the same corpus.
-    if opts.scope {
-        let mut merged = ScopeProfiler::new();
-        for r in &completed {
-            let path = out_dir.join(&r.worker_id).join("scope.json");
-            match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|t| ScopeProfiler::from_json(&t))
-            {
-                Ok(s) => merged.merge(&s),
-                Err(e) => eprintln!("qa-mesh: no scope profile from worker {}: {e}", r.worker_id),
-            }
-        }
-        for (name, contents) in scope_exports(&merged) {
-            write(name, &contents);
-        }
-    }
-
-    // The deterministic alert pass: the federated events.jsonl is in
-    // global job order with identity fields byte-identical to an
-    // in-process run, so replaying it through the same Replay yields the
-    // same alerts.log whatever the shard count.
-    let mut firing: Vec<String> = Vec::new();
-    if let Some(rules) = &slo_rules {
-        let events = match parse_events(&events_jsonl) {
-            Ok(ev) => ev,
-            Err(e) => {
-                eprintln!("qa-mesh: slo replay failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let mut replay = Replay::new(rules.clone(), "qa_fleet");
-        for ev in &events {
-            replay.observe_job(&JobStats {
-                steps: ev.steps,
-                reversals: ev.reversals,
-                cache_hits: ev.cache_hits,
-                cache_misses: ev.cache_misses,
-                budget_trips: ev.budget_trips,
-            });
-        }
-        firing = replay
-            .engine()
-            .firing()
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        write("alerts.log", &replay.engine().render_log());
-    }
-
-    let mut postmortem = String::new();
-    if !outcome.casualties().is_empty() {
-        postmortem.push_str(&render_mesh_postmortem(&run_id, &plan, &outcome));
-    }
-    if !firing.is_empty() {
-        if !postmortem.is_empty() {
-            postmortem.push('\n');
-        }
-        postmortem.push_str("=== slo alerts firing at batch end ===\n");
-        for rule in slo_rules.iter().flatten() {
-            if firing.contains(&rule.name) {
-                postmortem.push_str(&rule.render());
-                postmortem.push('\n');
-            }
-        }
-    }
-    if !postmortem.is_empty() {
-        eprint!("{postmortem}");
-        write("postmortem.txt", &postmortem);
-    }
-    if let Some(msg) = io_err {
-        eprintln!("{msg}");
-        return ExitCode::from(2);
-    }
-    if outcome.degraded {
-        eprintln!("qa-mesh: run degraded (worker death or non-zero worker exit)");
-        return ExitCode::from(1);
-    }
-    if !firing.is_empty() {
-        eprintln!(
-            "slo: {} alert(s) firing at batch end ({}); see {}/postmortem.txt",
-            firing.len(),
-            firing.join(", "),
-            opts.out_dir
-        );
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_opts(&args) {
@@ -1144,8 +667,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // --slo rules load before the mode dispatch: a bad rules file is an
-    // operator error (exit 2) whether the fleet runs in-process or meshed.
+    // A bad rules file is an operator error (exit 2), caught before any
+    // run starts.
     let slo_rules: Option<Vec<AlertRule>> = match &opts.slo {
         Some(path) => {
             let text = match std::fs::read_to_string(path) {
@@ -1165,16 +688,13 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    if opts.mesh.is_some() {
-        return run_coordinator(&opts, slo_rules);
-    }
 
     let roster = roster();
     let budget = Budget::steps(opts.max_steps).with_wall(opts.max_wall);
     let fleet = Arc::new(Metrics::new());
-    // One run id across every mode (see default_run_id): it seeds the
-    // deterministic trace/span ids stamped into every wide event.
-    let run_id = opts.run_id.clone().unwrap_or_else(|| default_run_id(&opts));
+    // The run id seeds the deterministic trace/span ids stamped into every
+    // wide event.
+    let run_id = run_id(&opts);
     // The pulse state exists even without --serve: it renders metrics.prom
     // and aggregates the span profile either way, and serving just exposes
     // the same state over HTTP.
@@ -1190,28 +710,6 @@ fn main() -> ExitCode {
         let src = s.clone();
         state.set_alerts_source(Box::new(move || src.alerts_json()));
     }
-    // Worker identity (present in mesh shard mode): stamped as an info
-    // gauge on /metrics and as correlation ids on the flight ring, so
-    // every federated artifact can name the process it came from. The
-    // parser keeps info gauges out of merged registries, so the federated
-    // metrics.prom stays independent of worker count.
-    let worker_identity = opts.shard.map(|(i, n)| {
-        (
-            run_id.clone(),
-            format!("{i}/{n}"),
-            opts.worker_id.clone().unwrap_or_else(|| format!("w{i}")),
-        )
-    });
-    if let Some((run_id, shard, worker)) = &worker_identity {
-        fleet.set_info(
-            "qa_fleet_worker_info",
-            [
-                ("run_id".to_string(), run_id.clone()),
-                ("shard".to_string(), shard.clone()),
-                ("worker".to_string(), worker.clone()),
-            ],
-        );
-    }
     // The wide-event ring exists in every mode: the batch pushes each
     // job's event as it finishes (a live completion-order tail for
     // /events), and the post-batch pass writes events.jsonl in job order.
@@ -1224,9 +722,6 @@ fn main() -> ExitCode {
     let server = match &opts.serve {
         Some(addr) => {
             let shared = SharedFlight::with_capacity(1024);
-            if let Some((run_id, _, worker)) = &worker_identity {
-                shared.set_correlation(run_id, worker);
-            }
             let source = shared.clone();
             state.set_flight_source(Box::new(move |tail| source.with(|r| r.to_json_tail(tail))));
             let ev_source = events_ring.clone();
@@ -1276,27 +771,14 @@ fn main() -> ExitCode {
     // Warmup (arg parsing, roster, out dir) is done: flip /readyz.
     state.set_ready();
 
-    // Sampling flags are pre-drawn in job order over the FULL grid: the
-    // OneInN stream is consumed identically no matter how many threads —
-    // or mesh shards — run the jobs, so any shard's sampled set matches
-    // what an unsharded fleet would have sampled for those jobs.
+    // Sampling flags are pre-drawn in job order: the OneInN stream is
+    // consumed identically no matter how many threads run the jobs.
     let mut admit = OneInN::new(opts.seed, opts.sample_every);
     let total_jobs = opts.queries * opts.docs;
     let specs: Vec<(usize, usize, bool)> = (0..opts.queries)
         .flat_map(|qi| (0..opts.docs).map(move |di| (qi, di)))
         .map(|(qi, di)| (qi, di, admit.admit()))
-        .filter(|(qi, di, _)| match opts.shard {
-            Some((index, count)) => (qi * opts.docs + di) % count == index,
-            None => true,
-        })
         .collect();
-    let shard_mode = opts.shard.is_some();
-    // Volatile event fields: placement facts stamped on every wide event.
-    // In-process fleets are "local" worker, shard "0/1".
-    let (ev_worker, ev_shard) = match &worker_identity {
-        Some((_, shard, worker)) => (worker.clone(), shard.clone()),
-        None => ("local".to_string(), "0/1".to_string()),
-    };
     let fleet_t0 = Instant::now();
 
     // The live scrape loop: wall-clock cadence, ops-only. Transitions are
@@ -1329,16 +811,10 @@ fn main() -> ExitCode {
 
     // Outcomes land in indexed slots, so `--jobs N` yields the same vector
     // as `--jobs 1`; per-run metrics merge into `fleet` as commutative
-    // counter sums. Slots are indexed by global job id; in shard mode the
-    // other shards' slots simply stay empty.
+    // counter sums. Slots are indexed by global job id.
     let slots: Mutex<Vec<RunSlot>> = Mutex::new((0..total_jobs).map(|_| None).collect());
     qa_par::par_batch(opts.jobs, specs, |_worker, (qi, di, sampled)| {
         let global = qi * opts.docs + di;
-        if shard_mode {
-            // Stdout job protocol: the mesh coordinator tracks these to
-            // know exactly which jobs were in flight if this process dies.
-            println!("fleet: job {global} start");
-        }
         let wl = &roster[qi % roster.len()];
         // Per-run seed: distinct per (query index, doc index), stable
         // across invocations with the same --seed.
@@ -1368,8 +844,8 @@ fn main() -> ExitCode {
                 .merge(&sp);
         }
         // The wide event: identity fields derive only from (run_id, job,
-        // corpus, counters), so they match byte for byte across --jobs N
-        // and --mesh N; placement and wall-clock ride in the volatile tail.
+        // corpus, counters), so they match byte for byte across --jobs N;
+        // placement and wall-clock ride in the volatile tail.
         let ctx = TraceContext::mint(&run_id, global);
         let event = JobEvent {
             run: run_id.clone(),
@@ -1393,8 +869,8 @@ fn main() -> ExitCode {
                 .as_ref()
                 .map(|e| format!("{e}"))
                 .unwrap_or_else(|| "ok".to_string()),
-            worker: ev_worker.clone(),
-            shard: ev_shard.clone(),
+            worker: WORKER.to_string(),
+            shard: SHARD.to_string(),
             start_ns,
             wall_ns: outcome.latency.as_nanos() as u64,
         };
@@ -1411,13 +887,7 @@ fn main() -> ExitCode {
             }
         }
         if opts.pace_ms > 0 {
-            // The pace window sits between `start` and `done` on purpose:
-            // it is the chaos window — a coordinator kill landing here
-            // finds this job in flight.
             std::thread::sleep(Duration::from_millis(opts.pace_ms));
-        }
-        if shard_mode {
-            println!("fleet: job {global} done");
         }
     });
 
@@ -1427,29 +897,27 @@ fn main() -> ExitCode {
     }
 
     // Reservoir offers happen in job order after the batch, so the sampled
-    // trace set is independent of worker interleaving. In shard mode the
-    // slots of other shards are (correctly) empty and skipped.
+    // trace set is independent of worker interleaving.
     let mut traces: Reservoir<(String, RunTrace)> = Reservoir::new(opts.seed, opts.reservoir);
     let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(total_jobs);
     // events.jsonl is written in global job order (the ring holds
     // completion order, for the live /events tail only), so the file's
     // identity projection is byte-identical across --jobs settings.
     let mut events_jsonl = String::new();
+    let mut events: Vec<JobEvent> = Vec::with_capacity(total_jobs);
     for (i, slot) in slots
         .into_inner()
         .expect("slots lock")
         .into_iter()
         .enumerate()
     {
-        let Some((outcome, trace, event)) = slot else {
-            assert!(shard_mode, "every job ran");
-            continue;
-        };
+        let (outcome, trace, event) = slot.expect("every job ran");
         if let Some(trace) = trace {
             traces.offer((format!("{}-doc{}", outcome.workload, i % opts.docs), trace));
         }
         events_jsonl.push_str(&event.to_json());
         events_jsonl.push('\n');
+        events.push(event);
         outcomes.push(outcome);
     }
 
@@ -1505,7 +973,7 @@ fn main() -> ExitCode {
     write("events.jsonl", &events_jsonl);
     write(
         "fleet-trace.json",
-        &qa_mesh::federate_trace(&run_id, &[(ev_worker.clone(), events_jsonl.clone())]),
+        &trace::fleet_trace(&run_id, WORKER, &events),
     );
     if opts.scope {
         let merged = merged_scope(&scopes.lock().expect("scope lock"));

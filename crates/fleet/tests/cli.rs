@@ -351,3 +351,19 @@ fn unknown_flag_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+#[test]
+fn multi_process_flags_are_usage_errors() {
+    for (flag, value) in [
+        ("--mesh", "2"),
+        ("--chaos-kill", "0"),
+        ("--shard", "0/2"),
+        ("--worker-id", "w0"),
+        ("--run-id", "r"),
+    ] {
+        let out = qa_fleet(&[flag, value, "--out-dir", &tmp("removed-flag")]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+}

@@ -1,6 +1,6 @@
 //! End-to-end tests of the qa-lens wide-event layer: `events.jsonl`
-//! identity byte-identity across `--jobs` and `--mesh` topologies, and the
-//! assembled fleet timeline covering every job from every worker.
+//! identity byte-identity across `--jobs N` and reruns, and the assembled
+//! fleet timeline covering every job.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -52,17 +52,15 @@ fn run_fleet(extra: &[&str], dir: &str) -> String {
 }
 
 #[test]
-fn events_identity_is_byte_identical_across_jobs_and_mesh() {
+fn events_identity_is_byte_identical_across_jobs_and_reruns() {
     let baseline = run_fleet(&["--jobs", "1"], &tmp("lens-j1"));
     let base_identity = identity_projection(&baseline).expect("baseline parses");
     assert!(!base_identity.is_empty());
-    for (label, extra) in [
-        ("--jobs 4", &["--jobs", "4"] as &[&str]),
-        ("--mesh 1", &["--mesh", "1"]),
-        ("--mesh 2", &["--mesh", "2"]),
+    for (label, extra, dir) in [
+        ("--jobs 4", &["--jobs", "4"] as &[&str], "lens-j4"),
+        ("a rerun", &["--jobs", "1"], "lens-j1-again"),
     ] {
-        let dir = tmp(&format!("lens-{}", label.replace([' ', '-'], "")));
-        let jsonl = run_fleet(extra, &dir);
+        let jsonl = run_fleet(extra, &tmp(dir));
         assert_eq!(
             identity_projection(&jsonl).expect("events parse"),
             base_identity,
@@ -90,25 +88,13 @@ fn events_lines_are_in_job_order_with_derived_trace_ids() {
     }
 }
 
-#[test]
-fn mesh_events_carry_worker_placement_in_the_volatile_tail() {
-    let jsonl = run_fleet(&["--mesh", "2"], &tmp("lens-placement"));
-    let events = parse_events(&jsonl).expect("mesh events parse");
-    assert_eq!(events.len(), 16);
-    // Round-robin dealing: even jobs on shard 0, odd jobs on shard 1.
-    for ev in &events {
-        let expect_worker = if ev.job % 2 == 0 { "w0" } else { "w1" };
-        assert_eq!(ev.worker, expect_worker, "job {}", ev.job);
-        assert_eq!(ev.shard, format!("{}/2", ev.job % 2), "job {}", ev.job);
-    }
-}
-
-/// The assembled fleet timeline: parses as Chrome trace JSON, names every
-/// worker process, and its span tree covers every job from every worker.
+/// The assembled fleet timeline: parses as Chrome trace JSON, names the
+/// fleet's single process, and its span tree covers every job, whichever
+/// worker thread ran it.
 #[test]
 fn fleet_trace_covers_every_job_from_every_worker() {
     let dir = tmp("lens-trace");
-    run_fleet(&["--mesh", "2"], &dir);
+    run_fleet(&["--jobs", "4"], &dir);
     let trace = read(&dir, "fleet-trace.json");
     let v = json::parse(&trace).expect("fleet trace is valid JSON");
     assert_eq!(
@@ -119,7 +105,7 @@ fn fleet_trace_covers_every_job_from_every_worker() {
     );
     let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();
 
-    // Metadata names both worker processes.
+    // Metadata names the one in-process fleet.
     let process_names: Vec<&str> = events
         .iter()
         .filter(|e| e.get("name").and_then(Value::as_str) == Some("process_name"))
@@ -129,7 +115,7 @@ fn fleet_trace_covers_every_job_from_every_worker() {
                 .and_then(Value::as_str)
         })
         .collect();
-    assert_eq!(process_names, vec!["w0", "w1"], "{trace}");
+    assert_eq!(process_names, vec!["local"], "{trace}");
 
     // Every job appears exactly once as a span, with its derived ids.
     let mut jobs: Vec<u64> = events
@@ -153,26 +139,4 @@ fn fleet_trace_covers_every_job_from_every_worker() {
         .collect();
     jobs.sort_unstable();
     assert_eq!(jobs, (0..16).collect::<Vec<u64>>(), "{trace}");
-
-    // The in-process fleet writes the same timeline shape with one
-    // "local" process.
-    let solo_dir = tmp("lens-trace-solo");
-    run_fleet(&[], &solo_dir);
-    let solo = json::parse(&read(&solo_dir, "fleet-trace.json")).expect("solo trace parses");
-    let solo_events = solo.get("traceEvents").and_then(Value::as_arr).unwrap();
-    let solo_spans = solo_events
-        .iter()
-        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
-        .count();
-    assert_eq!(solo_spans, 16);
-    assert!(
-        solo_events.iter().any(|e| {
-            e.get("name").and_then(Value::as_str) == Some("process_name")
-                && e.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Value::as_str)
-                    == Some("local")
-        }),
-        "in-process timeline names its single process"
-    );
 }

@@ -1,7 +1,6 @@
 //! End-to-end tests of `qa-fleet --scope`: the per-state profile exports
 //! (`scope.json`, `scope.folded`, `explain.txt`) must be byte-identical
-//! across reruns, `--jobs N` parallelism, and `--mesh N` federation —
-//! the same determinism contract `metrics.prom` already carries.
+//! across reruns and `--jobs N` parallelism — the same determinism contract `metrics.prom` already carries.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -76,14 +75,5 @@ fn scope_exports_are_byte_identical_across_jobs_and_reruns() {
         .chain(baseline.iter().zip(&rerun).map(|(b, o)| (b, o, "rerun")))
     {
         assert_eq!(b.1, other.1, "{} diverged under {}", b.0, what);
-    }
-}
-
-#[test]
-fn mesh_federated_scope_matches_the_single_process_profile() {
-    let single = run_scoped("scope-mesh-base", &["--jobs", "1"]);
-    let meshed = run_scoped("scope-mesh-2", &["--mesh", "2"]);
-    for (b, m) in single.iter().zip(&meshed) {
-        assert_eq!(b.1, m.1, "{} diverged under --mesh 2", b.0);
     }
 }

@@ -11,9 +11,9 @@
 //! ## The determinism discipline
 //!
 //! Following the `metrics.prom` discipline, every field is deterministic —
-//! byte-identical across reruns, `--jobs N` and `--mesh N` — **except** the
-//! trailing *volatile* fields ([`VOLATILE_FIELDS`]): `worker` and `shard`
-//! (placement facts that legitimately differ across fleet topologies) and
+//! byte-identical across reruns and `--jobs N` — **except** the trailing
+//! *volatile* fields ([`VOLATILE_FIELDS`]): `worker` and `shard`
+//! (placement facts: `local` and `0/1` in `qa-fleet` and `qa-serve`) and
 //! `start_ns` / `wall_ns` (wall-clock). Volatile fields are always written
 //! last, so the deterministic prefix of each line is stable, and
 //! [`identity_projection`] strips them for the byte-identity gates.
@@ -89,7 +89,7 @@ impl JobEvent {
     }
 
     /// Serialize only the deterministic fields — the identity the
-    /// byte-identity gates compare across `--jobs N` and `--mesh N`.
+    /// byte-identity gates compare across `--jobs N` and reruns.
     pub fn identity_json(&self) -> String {
         json::object(|w| self.write_identity(w))
     }
@@ -189,7 +189,7 @@ pub fn parse_events(jsonl: &str) -> Result<Vec<JobEvent>, String> {
 /// Project an `events.jsonl` document onto its deterministic fields: parse
 /// every line, drop the volatile tail, and re-render. Two fleets over the
 /// same corpus must agree on this projection byte for byte, whatever their
-/// `--jobs` or `--mesh` topology.
+/// `--jobs` setting.
 pub fn identity_projection(jsonl: &str) -> Result<String, String> {
     let mut out = String::new();
     for ev in parse_events(jsonl)? {

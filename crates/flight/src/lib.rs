@@ -22,9 +22,10 @@
 //! - [`JobEvent`] / [`SharedEvents`] — one wide, structured JSONL event
 //!   per job (`events.jsonl`), deterministic up to its volatile tail, plus
 //!   the bounded ring the pulse `/events` endpoint serves from.
-//! - `qa-fleet` — the batch runner binary: M queries × K generated
-//!   documents under watchdogs, merged metrics, latency/step percentiles,
-//!   Prometheus and Perfetto exports, post-mortem dumps on failure.
+//!
+//! The crate depends only on `qa-base` and `qa-obs`, so the serving daemon
+//! can link the watchdog without the `qa-fleet` batch runner (its own
+//! crate, `crates/fleet`) that drives all of these over generated corpora.
 //!
 //! The crate adds nothing to unobserved runs: engines still monomorphize
 //! [`qa_obs::NoopObserver`] hooks (checkpoints included) to nothing.

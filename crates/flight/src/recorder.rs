@@ -113,8 +113,7 @@ pub struct FlightRecorder {
     cap: usize,
     dropped: u64,
     counters: [u64; Counter::COUNT],
-    samples: [(u64, u64); Series::COUNT],  // (count, sum)
-    correlation: Option<(String, String)>, // (run_id, worker)
+    samples: [(u64, u64); Series::COUNT], // (count, sum)
 }
 
 /// Default ring capacity: enough tail to diagnose a loop, small enough to
@@ -142,23 +141,7 @@ impl FlightRecorder {
             dropped: 0,
             counters: [0; Counter::COUNT],
             samples: [(0, 0); Series::COUNT],
-            correlation: None,
         }
-    }
-
-    /// Stamp this recorder with correlation ids: the fleet `run_id` and
-    /// the `worker` the events belong to. In a sharded mesh every worker's
-    /// flight dump carries these, so a federated post-mortem can attribute
-    /// each retained event to the process that recorded it.
-    pub fn set_correlation(&mut self, run_id: &str, worker: &str) {
-        self.correlation = Some((run_id.to_string(), worker.to_string()));
-    }
-
-    /// The `(run_id, worker)` correlation ids, if stamped.
-    pub fn correlation(&self) -> Option<(&str, &str)> {
-        self.correlation
-            .as_ref()
-            .map(|(r, w)| (r.as_str(), w.as_str()))
     }
 
     #[inline]
@@ -259,9 +242,6 @@ impl FlightRecorder {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "=== flight recorder dump ===");
-        if let Some((run_id, worker)) = self.correlation() {
-            let _ = writeln!(out, "run {run_id}, worker {worker}");
-        }
         let _ = writeln!(
             out,
             "retained {} event(s) (capacity {}), {} older event(s) dropped",
@@ -315,14 +295,6 @@ impl FlightRecorder {
         }
         let mut out = String::new();
         out.push('{');
-        if let Some((run_id, worker)) = self.correlation() {
-            let _ = write!(
-                out,
-                "\"run_id\":\"{}\",\"worker\":\"{}\",",
-                esc(run_id),
-                esc(worker)
-            );
-        }
         let _ = write!(
             out,
             "\"retained\":{},\"capacity\":{},\"dropped\":{}",
@@ -437,12 +409,6 @@ impl SharedFlight {
     /// thread, or `|r| r.dump()` for a post-mortem).
     pub fn with<T>(&self, f: impl FnOnce(&FlightRecorder) -> T) -> T {
         f(&self.0.lock().expect("flight recorder lock poisoned"))
-    }
-
-    /// Stamp the shared recorder with `(run_id, worker)` correlation ids
-    /// (see [`FlightRecorder::set_correlation`]).
-    pub fn set_correlation(&self, run_id: &str, worker: &str) {
-        self.lock().set_correlation(run_id, worker);
     }
 
     /// Record an alert-state transition (see [`FlightRecorder::alert`]).
@@ -674,28 +640,6 @@ mod tests {
         let shared = SharedFlight::with_capacity(8);
         shared.alert(3, 1, "inactive", "pending");
         assert!(shared.with(|r| r.to_json()).contains("\"to\":\"pending\""));
-    }
-
-    #[test]
-    fn correlation_ids_appear_in_both_dump_flavors() {
-        let mut rec = FlightRecorder::with_capacity(4);
-        rec.config(1, 2, 1);
-        assert_eq!(rec.correlation(), None);
-        assert!(!rec.to_json().contains("run_id"));
-
-        rec.set_correlation("mesh-s7-q4x4", "w1");
-        assert_eq!(rec.correlation(), Some(("mesh-s7-q4x4", "w1")));
-        let json = rec.to_json();
-        assert!(
-            json.starts_with("{\"run_id\":\"mesh-s7-q4x4\",\"worker\":\"w1\","),
-            "{json}"
-        );
-        let dump = rec.dump();
-        assert!(dump.contains("run mesh-s7-q4x4, worker w1"), "{dump}");
-
-        let shared = SharedFlight::with_capacity(4);
-        shared.set_correlation("mesh-s7-q4x4", "w2");
-        assert!(shared.with(|r| r.to_json()).contains("\"worker\":\"w2\""));
     }
 
     #[test]

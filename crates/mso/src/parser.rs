@@ -13,6 +13,9 @@
 //! ```
 //!
 //! Label names are resolved against (and interned into) the given alphabet.
+//! Nesting — parentheses, `!`, quantifier bodies and `->` chains — is bounded
+//! by [`MAX_DEPTH`], so a hostile formula is a parse error rather than a
+//! stack overflow.
 
 use qa_base::{Alphabet, Error, Result};
 
@@ -116,10 +119,18 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
     Ok(toks)
 }
 
+/// Deepest nesting [`parse`] accepts: each `(`, `!`, quantifier and `->`
+/// opens one level of the recursive descent. A level costs about 7 KiB of
+/// stack in a debug build (under 2 KiB optimized), so the bound keeps a
+/// parse well inside a default 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     toks: Vec<Tok>,
     pos: usize,
     alphabet: &'a mut Alphabet,
+    /// Nesting levels currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -161,6 +172,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Run `inner` one nesting level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Formula>) -> Result<Formula> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::parse(
+                "mso",
+                format!(
+                    "formula nests deeper than {MAX_DEPTH} at token {}",
+                    self.pos
+                ),
+            ));
+        }
+        self.depth += 1;
+        let f = inner(self);
+        self.depth -= 1;
+        f
+    }
+
     // iff := imp ('<->' imp)*
     fn iff(&mut self) -> Result<Formula> {
         let mut f = self.imp()?;
@@ -176,7 +204,7 @@ impl<'a> Parser<'a> {
         let f = self.or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.pos += 1;
-            return Ok(f.implies(self.imp()?));
+            return Ok(f.implies(self.nested(Self::imp)?));
         }
         Ok(f)
     }
@@ -203,14 +231,14 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(Tok::Not) => {
                 self.pos += 1;
-                Ok(self.unary()?.not())
+                Ok(self.nested(Self::unary)?.not())
             }
             Some(Tok::Ident(kw)) if matches!(kw.as_str(), "ex" | "all" | "ex2" | "all2") => {
                 let kw = kw.clone();
                 self.pos += 1;
                 let var = self.ident()?;
                 self.expect(Tok::Dot)?;
-                let body = self.unary()?;
+                let body = self.nested(Self::unary)?;
                 Ok(match kw.as_str() {
                     "ex" => Formula::exists(var, body),
                     "all" => Formula::forall(var, body),
@@ -225,61 +253,68 @@ impl<'a> Parser<'a> {
     fn atom(&mut self) -> Result<Formula> {
         match self.bump() {
             Some(Tok::LParen) => {
-                let f = self.iff()?;
+                let f = self.nested(Self::iff)?;
                 self.expect(Tok::RParen)?;
                 Ok(f)
             }
-            Some(Tok::Ident(name)) => match name.as_str() {
-                "true" => Ok(Formula::True),
-                "false" => Ok(Formula::False),
-                "label" => {
-                    self.expect(Tok::LParen)?;
-                    let x = self.ident()?;
-                    self.expect(Tok::Comma)?;
-                    let l = self.ident()?;
-                    self.expect(Tok::RParen)?;
-                    let sym = self.alphabet.intern(&l);
-                    Ok(Formula::Label(x, sym))
-                }
-                "edge" | "first_child" | "second_child" | "chain2" => {
-                    self.expect(Tok::LParen)?;
-                    let x = self.ident()?;
-                    self.expect(Tok::Comma)?;
-                    let y = self.ident()?;
-                    self.expect(Tok::RParen)?;
-                    Ok(match name.as_str() {
-                        "edge" => Formula::Edge(x, y),
-                        "first_child" => Formula::FirstChild(x, y),
-                        "second_child" => Formula::SecondChild(x, y),
-                        _ => Formula::Chain2(x, y),
-                    })
-                }
-                "root" => {
-                    self.expect(Tok::LParen)?;
-                    let x = self.ident()?;
-                    self.expect(Tok::RParen)?;
-                    Ok(Formula::is_root(x))
-                }
-                "leaf" => {
-                    self.expect(Tok::LParen)?;
-                    let x = self.ident()?;
-                    self.expect(Tok::RParen)?;
-                    Ok(Formula::is_leaf(x))
-                }
-                _ => {
-                    // variable atom: v < w | v = w | v in X
-                    match self.bump() {
-                        Some(Tok::Less) => Ok(Formula::Less(name, self.ident()?)),
-                        Some(Tok::Eq) => Ok(Formula::Eq(name, self.ident()?)),
-                        Some(Tok::Ident(kw)) if kw == "in" => Ok(Formula::In(name, self.ident()?)),
-                        other => Err(Error::parse(
-                            "mso",
-                            format!("expected `<`, `=` or `in` after `{name}`, found {other:?}"),
-                        )),
-                    }
-                }
-            },
+            Some(Tok::Ident(name)) => self.predicate(name),
             other => Err(Error::parse("mso", format!("unexpected token {other:?}"))),
+        }
+    }
+
+    /// The atom named `name` (already consumed). Kept out of `atom`
+    /// so the recursive path through parentheses keeps small frames.
+    #[inline(never)]
+    fn predicate(&mut self, name: String) -> Result<Formula> {
+        match name.as_str() {
+            "true" => Ok(Formula::True),
+            "false" => Ok(Formula::False),
+            "label" => {
+                self.expect(Tok::LParen)?;
+                let x = self.ident()?;
+                self.expect(Tok::Comma)?;
+                let l = self.ident()?;
+                self.expect(Tok::RParen)?;
+                let sym = self.alphabet.intern(&l);
+                Ok(Formula::Label(x, sym))
+            }
+            "edge" | "first_child" | "second_child" | "chain2" => {
+                self.expect(Tok::LParen)?;
+                let x = self.ident()?;
+                self.expect(Tok::Comma)?;
+                let y = self.ident()?;
+                self.expect(Tok::RParen)?;
+                Ok(match name.as_str() {
+                    "edge" => Formula::Edge(x, y),
+                    "first_child" => Formula::FirstChild(x, y),
+                    "second_child" => Formula::SecondChild(x, y),
+                    _ => Formula::Chain2(x, y),
+                })
+            }
+            "root" => {
+                self.expect(Tok::LParen)?;
+                let x = self.ident()?;
+                self.expect(Tok::RParen)?;
+                Ok(Formula::is_root(x))
+            }
+            "leaf" => {
+                self.expect(Tok::LParen)?;
+                let x = self.ident()?;
+                self.expect(Tok::RParen)?;
+                Ok(Formula::is_leaf(x))
+            }
+            _ => {
+                // variable atom: v < w | v = w | v in X
+                match self.bump() {
+                    Some(Tok::Less) => Ok(Formula::Less(name, self.ident()?)),
+                    Some(Tok::Eq) => Ok(Formula::Eq(name, self.ident()?)),
+                    Some(Tok::Ident(kw)) if kw == "in" => Ok(Formula::In(name, self.ident()?)),
+                    other => Err(Error::parse(
+                        "mso",
+                        format!("expected `<`, `=` or `in` after `{name}`, found {other:?}"),
+                    )),
+                }
+            }
         }
     }
 }
@@ -298,6 +333,7 @@ pub fn parse(input: &str, alphabet: &mut Alphabet) -> Result<Formula> {
         toks,
         pos: 0,
         alphabet,
+        depth: 0,
     };
     let f = p.iff()?;
     if p.pos != p.toks.len() {
@@ -313,6 +349,25 @@ pub fn parse(input: &str, alphabet: &mut Alphabet) -> Result<Formula> {
 mod tests {
     use super::*;
     use crate::ast::Formula;
+
+    #[test]
+    fn nesting_is_bounded() {
+        let mut a = Alphabet::new();
+        let parens = |n: usize| format!("{}leaf(x){}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&parens(MAX_DEPTH), &mut a).is_ok());
+        let err = parse(&parens(MAX_DEPTH + 1), &mut a).unwrap_err();
+        assert!(err.to_string().contains("deeper than"), "{err}");
+        // Far past the bound, through every recursive form: an error, not
+        // a stack overflow.
+        for deep in [
+            parens(5_000),
+            format!("{}leaf(x)", "!".repeat(5_000)),
+            format!("{}leaf(x)", "ex y. ".repeat(5_000)),
+            format!("{}leaf(x)", "leaf(x) -> ".repeat(5_000)),
+        ] {
+            assert!(parse(&deep, &mut a).is_err());
+        }
+    }
 
     #[test]
     fn parses_quantifiers_and_connectives() {

@@ -149,6 +149,7 @@ mod tests {
     use super::*;
     use crate::naive::{check, query, Structure};
     use crate::parser::parse;
+    use crate::PreparedUnary;
     use qa_base::rng::StdRng;
     use qa_base::Alphabet;
 
@@ -233,24 +234,46 @@ mod tests {
         ));
     }
 
+    /// Every unary formula, on every random tree, selects the same nodes
+    /// through the compiled automaton ([`selects_unranked`]), through the
+    /// served path ([`PreparedUnary::eval_unranked`]), and under the naive
+    /// MSO semantics — the independent oracle.
     #[test]
     fn unary_query_on_unranked_trees() {
-        let mut a = Alphabet::from_names(["0", "1"]);
-        let sigma = a.len();
-        // Proposition 5.10's query: 1-labeled leaves with no 1-labeled node
-        // among their left siblings.
-        let src = "label(v, 1) & leaf(v) & !(ex w. (w < v & label(w, 1)))";
-        let f = parse(src, &mut a).unwrap();
-        let d = compile_unary(&f, "v", sigma).unwrap();
-        for t in random_unranked(sigma, 3, 18) {
-            let naive = query(Structure::Tree(&t), &f, "v").unwrap();
-            for v in t.nodes() {
-                assert_eq!(
-                    selects_unranked(&d, &t, v, sigma),
-                    naive.contains(&v.index()),
-                    "node {v:?} of {}",
-                    t.render(&a)
-                );
+        let table = [
+            // Proposition 5.10's query (with b for 1): b-labeled leaves
+            // with no b-labeled node among their left siblings.
+            "label(v, b) & leaf(v) & !(ex w. (w < v & label(w, b)))",
+            "label(v, a)",
+            "ex w. (edge(w, v) & label(w, a))",
+            "ex w. (w < v & label(w, b))",
+            "root(v) | (leaf(v) & label(v, b))",
+            // Nested quantifiers: every left sibling of v has a child.
+            "all w. (w < v -> ex u. edge(w, u))",
+        ];
+        for (i, src) in table.into_iter().enumerate() {
+            let mut a = Alphabet::from_names(["a", "b"]);
+            let sigma = a.len();
+            let f = parse(src, &mut a).unwrap();
+            let d = compile_unary(&f, "v", sigma).unwrap();
+            let prepared = PreparedUnary::new(&d, sigma);
+            for t in random_unranked(sigma, 3, 18 + i as u64) {
+                let naive = query(Structure::Tree(&t), &f, "v").unwrap();
+                let mut served: Vec<usize> = prepared
+                    .eval_unranked(&t)
+                    .into_iter()
+                    .map(|v| v.index())
+                    .collect();
+                served.sort_unstable();
+                assert_eq!(served, naive, "{src} on {}", t.render(&a));
+                for v in t.nodes() {
+                    assert_eq!(
+                        selects_unranked(&d, &t, v, sigma),
+                        naive.contains(&v.index()),
+                        "{src}: node {v:?} of {}",
+                        t.render(&a)
+                    );
+                }
             }
         }
     }

@@ -2,12 +2,11 @@
 //!
 //! Distributed tracing conventionally mints trace ids from ambient entropy;
 //! this workspace's telemetry discipline is the opposite — every exported
-//! artifact must be byte-identical across reruns, worker counts and mesh
-//! shard counts. Ids are therefore *derived*, not drawn: a job's trace id
-//! is a hash of the fleet run id and the job's global index, and its span
-//! id a further derivation, so any process that knows `(run_id, job)` mints
-//! the same ids without coordination. The mesh coordinator "mints" trace
-//! ids simply by forwarding `--run-id` to its workers.
+//! artifact must be byte-identical across reruns and worker counts. Ids
+//! are therefore *derived*, not drawn: a job's trace id is a hash of the
+//! fleet run id and the job's global index, and its span id a further
+//! derivation, so any thread that knows `(run_id, job)` mints the same ids
+//! without coordination.
 
 /// FNV-1a 64-bit hash — the workspace's deterministic id hash.
 ///
@@ -42,9 +41,8 @@ pub struct TraceContext {
 impl TraceContext {
     /// Mint the context for global job `job` of fleet run `run_id`.
     ///
-    /// Deterministic: every process given the same `(run_id, job)` mints
-    /// the same ids, which is what lets a mesh worker stamp spans the
-    /// coordinator can assemble without ever exchanging ids.
+    /// Deterministic: every caller given the same `(run_id, job)` mints
+    /// the same ids, whichever worker thread runs the job.
     pub fn mint(run_id: &str, job: usize) -> TraceContext {
         let mut key = Vec::with_capacity(run_id.len() + 24);
         key.extend_from_slice(run_id.as_bytes());

@@ -217,11 +217,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a hostile document
+/// (say 20,000 `[`) overflow the stack; past this bound it is a
+/// [`ParseError`] instead.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document; trailing non-whitespace is an error, and so
+/// is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -235,6 +243,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -275,8 +285,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -285,6 +295,21 @@ impl Parser<'_> {
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -499,6 +524,19 @@ mod tests {
             parse("\"\\ud834\\udd1e\"").unwrap(),
             Value::Str("\u{1d11e}".into())
         );
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far past the bound: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(20_000)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(20_000), "}".repeat(20_000));
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod stats;
 pub mod trace;
 
 pub use context::{fnv1a64, TraceContext};
-pub use metrics::{Histogram, HistogramSnapshot, InfoLabels, Metrics, MetricsObserver};
+pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsObserver};
 pub use observer::{Abort, Counter, Machine, NoopObserver, Observer, Series, Tee};
 pub use stats::{percentile_sorted, quantile_bucket, quantile_from_buckets};
 pub use trace::{PhaseSpan, RunTrace, TraceConfig};

@@ -1,15 +1,10 @@
 //! The shared [`Metrics`] registry: atomic counters plus fixed-bucket
 //! histograms, serializable to JSON by hand.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::json::{self, ObjectWriter};
 use crate::observer::{Counter, Observer, Series};
-
-/// Label set of one info metric: sorted `key → value` pairs.
-pub type InfoLabels = BTreeMap<String, String>;
 
 /// Buckets per histogram: bucket 0 holds the value 0, bucket `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)`, and the last bucket absorbs the tail.
@@ -169,11 +164,6 @@ impl HistogramSnapshot {
 pub struct Metrics {
     counters: [AtomicU64; Counter::COUNT],
     series: [Histogram; Series::COUNT],
-    /// Labeled info metrics (`name{k="v",…} 1` in Prometheus renderings):
-    /// constant-`1` gauges whose payload lives in their labels, the idiom
-    /// `qa_build_info` uses for build metadata and mesh workers use for
-    /// `shard`/`worker_id` correlation. Keyed by metric name; merge unions.
-    infos: Mutex<BTreeMap<String, InfoLabels>>,
 }
 
 impl Metrics {
@@ -182,7 +172,6 @@ impl Metrics {
         Metrics {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             series: std::array::from_fn(|_| Histogram::default()),
-            infos: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -208,33 +197,6 @@ impl Metrics {
         self.series[series.index()].snapshot()
     }
 
-    /// Fold a whole snapshot into the histogram behind `series`, as if
-    /// every sample it aggregates had been recorded here — the entry point
-    /// for rebuilding a registry from a parsed scrape.
-    pub fn absorb_series(&self, series: Series, snap: &HistogramSnapshot) {
-        self.series[series.index()].absorb(snap);
-    }
-
-    /// Set (or replace) the labeled info metric `name`. Rendered by the
-    /// Prometheus exporter as a constant-`1` gauge carrying `labels`;
-    /// label order is canonicalized by key, so renders are deterministic.
-    pub fn set_info(&self, name: &str, labels: impl IntoIterator<Item = (String, String)>) {
-        self.infos
-            .lock()
-            .expect("infos lock poisoned")
-            .insert(name.to_string(), labels.into_iter().collect());
-    }
-
-    /// All info metrics, sorted by name.
-    pub fn infos(&self) -> Vec<(String, InfoLabels)> {
-        self.infos
-            .lock()
-            .expect("infos lock poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     /// Borrow an [`Observer`] that feeds this registry.
     pub fn observer(&self) -> MetricsObserver<'_> {
         MetricsObserver { metrics: self }
@@ -243,9 +205,7 @@ impl Metrics {
     /// Fold `other`'s totals into this registry, so per-run or per-thread
     /// registries can be combined into one multi-run profile. Counters add;
     /// histograms merge sample-exactly (same result as recording every
-    /// sample here); info metrics union (last write wins per name, so the
-    /// union commutes whenever the names or the label sets agree).
-    /// Associative and commutative up to snapshot timing.
+    /// sample here). Associative and commutative up to snapshot timing.
     pub fn merge(&self, other: &Metrics) {
         for c in Counter::ALL {
             let v = other.get(c);
@@ -255,12 +215,6 @@ impl Metrics {
         }
         for s in Series::ALL {
             self.series[s.index()].absorb(&other.histogram(s));
-        }
-        for (name, labels) in other.infos() {
-            self.infos
-                .lock()
-                .expect("infos lock poisoned")
-                .insert(name, labels);
         }
     }
 
@@ -278,14 +232,12 @@ impl Metrics {
             h.min.store(u64::MAX, Ordering::Relaxed);
             h.max.store(0, Ordering::Relaxed);
         }
-        self.infos.lock().expect("infos lock poisoned").clear();
     }
 
     /// Serialize the registry:
     /// `{"counters": {name: value, …}, "series": {name: {count, sum, min,
     /// max, mean, buckets}, …}}`. Counters at zero and empty series are
-    /// omitted; an `"infos"` object is appended only when info metrics are
-    /// set, so reports without them keep the historical two-field shape.
+    /// omitted.
     pub fn to_json(&self) -> String {
         json::object(|w| {
             let counters = json::object(|cw| {
@@ -306,22 +258,6 @@ impl Metrics {
                 }
             });
             w.field_raw("series", &series);
-            let infos = self.infos();
-            if !infos.is_empty() {
-                let rendered = json::object(|iw| {
-                    for (name, labels) in &infos {
-                        iw.field_raw(
-                            name,
-                            &json::object(|lw| {
-                                for (k, v) in labels {
-                                    lw.field_str(k, v);
-                                }
-                            }),
-                        );
-                    }
-                });
-                w.field_raw("infos", &rendered);
-            }
         })
     }
 }
@@ -496,42 +432,6 @@ mod tests {
         m.record(Series::TraceLength, 9);
         let s = snap(&m);
         assert_eq!(s.merge(&HistogramSnapshot::empty()).min, 9);
-    }
-
-    #[test]
-    fn info_metrics_union_on_merge_and_clear_on_reset() {
-        let a = Metrics::new();
-        a.set_info(
-            "qa_worker_info",
-            [("worker_id".to_string(), "w0".to_string())],
-        );
-        let b = Metrics::new();
-        b.set_info("qa_run_info", [("run_id".to_string(), "r1".to_string())]);
-        a.merge(&b);
-        let names: Vec<String> = a.infos().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["qa_run_info", "qa_worker_info"]);
-        let j = a.to_json();
-        assert!(
-            j.contains(r#""infos":{"qa_run_info":{"run_id":"r1"}"#),
-            "{j}"
-        );
-        a.reset();
-        assert!(a.infos().is_empty());
-        assert!(!a.to_json().contains("infos"));
-    }
-
-    #[test]
-    fn absorb_series_rebuilds_a_snapshot() {
-        let src = Metrics::new();
-        for v in [1u64, 5, 16] {
-            src.record(Series::RunSteps, v);
-        }
-        let dst = Metrics::new();
-        dst.absorb_series(Series::RunSteps, &src.histogram(Series::RunSteps));
-        assert_eq!(
-            dst.histogram(Series::RunSteps),
-            src.histogram(Series::RunSteps)
-        );
     }
 
     #[test]

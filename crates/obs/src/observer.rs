@@ -39,6 +39,8 @@ pub enum Counter {
     /// SLO rules such as `budget_trips_total / jobs_total`.
     Jobs,
     /// Scrape attempts that had to be retried after a transport failure.
+    /// Nothing in the workspace retries scrapes any more; the counter stays
+    /// so every exposition keeps its `scrape_retries_total` line.
     ScrapeRetries,
     /// Alert state-machine transitions (pending, firing, resolved) taken by
     /// the sentinel engine.
@@ -186,7 +188,7 @@ impl Series {
 /// Like [`Counter`] the set is closed and densely indexed, so a profiler
 /// can keep one fixed-size array of per-machine tables and two processes
 /// serialize the same machine under the same name — the property the
-/// fleet/mesh scope-merge determinism gates rely on.
+/// fleet scope-merge determinism gates rely on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Machine {
     /// The two-way string head (`TwoDfa::run`), including runs made on

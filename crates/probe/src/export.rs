@@ -114,7 +114,7 @@ fn bucket_le(i: usize) -> u64 {
 
 /// Escape a Prometheus label value: `\` → `\\`, `"` → `\"`, newline →
 /// `\n` (the three escapes the exposition format defines).
-fn escape_label_value(v: &str) -> String {
+pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -131,9 +131,7 @@ fn escape_label_value(v: &str) -> String {
 ///
 /// Counters become `<prefix>_<name>_total` counters; every non-empty series
 /// becomes a `<prefix>_<name>` histogram with cumulative power-of-two `le`
-/// buckets; every [`Metrics::set_info`] entry becomes a constant-`1` info
-/// gauge under its own (unprefixed) name with labels sorted by key.
-/// `prefix` is typically `"qa"`.
+/// buckets. `prefix` is typically `"qa"`.
 pub fn prometheus_text(metrics: &Metrics, prefix: &str) -> String {
     let mut out = String::new();
     for c in Counter::ALL {
@@ -162,16 +160,6 @@ pub fn prometheus_text(metrics: &Metrics, prefix: &str) -> String {
         out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", snap.count));
         out.push_str(&format!("{name}_sum {}\n", snap.sum));
         out.push_str(&format!("{name}_count {}\n", snap.count));
-    }
-    for (name, labels) in metrics.infos() {
-        out.push_str(&format!("# TYPE {name} gauge\n{name}{{"));
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{k}=\"{}\"", escape_label_value(v)));
-        }
-        out.push_str("} 1\n");
     }
     out
 }
@@ -310,24 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_info_metrics_render_as_labeled_gauges() {
-        let m = Metrics::new();
-        m.set_info(
-            "qa_fleet_worker_info",
-            [
-                ("worker_id".to_string(), "w1".to_string()),
-                ("shard".to_string(), "1/3".to_string()),
-                ("run_id".to_string(), "r\"x\"".to_string()),
-            ],
-        );
-        let text = prometheus_text(&m, "qa");
-        assert!(
-            text.contains(
-                "# TYPE qa_fleet_worker_info gauge\n\
-                 qa_fleet_worker_info{run_id=\"r\\\"x\\\"\",shard=\"1/3\",worker_id=\"w1\"} 1\n"
-            ),
-            "{text}"
-        );
+    fn label_escaping_handles_quotes_backslashes_and_newlines() {
+        assert_eq!(escape_label_value(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(escape_label_value("x\ny"), "x\\ny");
     }
 
     #[test]

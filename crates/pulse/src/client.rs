@@ -1,9 +1,9 @@
 //! A std-only HTTP/1.1 *client*, the scraping counterpart of
 //! [`PulseServer`](crate::PulseServer).
 //!
-//! The mesh coordinator polls and scrapes many worker pulse servers over
+//! Tests, examples and the serving benchmark drive pulse servers over
 //! loopback; this client is exactly big enough for that job — blocking
-//! `GET` with explicit connect/read deadlines, `Connection: close`, body
+//! requests with explicit connect/read deadlines, `Connection: close`, body
 //! read to EOF — and keeps the workspace's zero-dependency discipline
 //! (`std::net` only, no TLS, no keep-alive, no chunked encoding: the pulse
 //! server sends none of that).
@@ -12,10 +12,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use qa_obs::{Counter, Metrics};
-
-/// Connect/read deadlines for one request. Scrapes run on the coordinator's
-/// poll loop, so a hung worker must cost bounded time, not a stuck fleet.
+/// Connect/read deadlines for one request, so a hung server costs bounded
+/// time rather than a stuck caller.
 #[derive(Clone, Copy, Debug)]
 pub struct HttpTimeouts {
     /// TCP connect deadline.
@@ -126,63 +124,6 @@ pub fn http_request(
     })
 }
 
-/// Bounded retry with deterministic exponential backoff, for *scrapes*.
-///
-/// A scrape missing one sample degrades a time series, so it is worth a
-/// couple of bounded retries; a liveness poll must stay a single cheap
-/// probe (a dead worker should look dead immediately), so callers keep
-/// using plain [`http_get`] for `/healthz`. The backoff schedule is fixed
-/// — `base`, `2*base`, `4*base`, … with no jitter — so a given failure
-/// pattern always costs the same wall time.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts, first try included; `1` disables retries.
-    pub attempts: u32,
-    /// Backoff before the first retry; doubles on each further retry.
-    pub base: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            base: Duration::from_millis(50),
-        }
-    }
-}
-
-/// [`http_get`] under a [`RetryPolicy`]: retry transport-level failures
-/// (connect refused, timeout, garbled response) up to `policy.attempts`
-/// total tries. An HTTP error status is a *successful* exchange — the
-/// server answered — and is returned immediately, never retried. Each
-/// retry (not the first attempt) is counted as
-/// `qa_scrape_retries_total` in `metrics` when one is attached.
-pub fn http_get_retry(
-    addr: impl ToSocketAddrs + Copy,
-    path: &str,
-    timeouts: HttpTimeouts,
-    policy: RetryPolicy,
-    metrics: Option<&Metrics>,
-) -> std::io::Result<HttpResponse> {
-    let attempts = policy.attempts.max(1);
-    let mut backoff = policy.base;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            if let Some(m) = metrics {
-                m.count(Counter::ScrapeRetries, 1);
-            }
-            std::thread::sleep(backoff);
-            backoff *= 2;
-        }
-        match http_get(addr, path, timeouts) {
-            Ok(resp) => return Ok(resp),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,44 +154,6 @@ mod tests {
         assert_eq!(missing.status, 404);
         assert!(!missing.is_ok());
 
-        server.shutdown();
-    }
-
-    #[test]
-    fn retry_counts_each_extra_attempt_and_returns_the_last_error() {
-        let dead = std::net::TcpListener::bind("127.0.0.1:0")
-            .unwrap()
-            .local_addr()
-            .unwrap();
-        let m = Metrics::new();
-        let policy = RetryPolicy {
-            attempts: 3,
-            base: Duration::from_millis(1),
-        };
-        let t = HttpTimeouts {
-            connect: Duration::from_millis(200),
-            io: Duration::from_millis(200),
-        };
-        let err = http_get_retry(dead, "/metrics", t, policy, Some(&m));
-        assert!(err.is_err(), "dead port must fail after retries");
-        assert_eq!(m.get(qa_obs::Counter::ScrapeRetries), 2, "2 retries");
-    }
-
-    #[test]
-    fn retry_does_not_retry_http_error_statuses() {
-        let state = PulseState::new(Arc::new(Metrics::new()), "qa_test");
-        let server = PulseServer::serve("127.0.0.1:0", Arc::clone(&state)).expect("bind");
-        let m = Metrics::new();
-        let resp = http_get_retry(
-            server.local_addr(),
-            "/nope",
-            HttpTimeouts::default(),
-            RetryPolicy::default(),
-            Some(&m),
-        )
-        .expect("404 is a completed exchange");
-        assert_eq!(resp.status, 404);
-        assert_eq!(m.get(qa_obs::Counter::ScrapeRetries), 0, "no retries");
         server.shutdown();
     }
 

@@ -35,35 +35,22 @@
 //! [`qa_obs::Metrics::merge`] / slot-lock machinery `qa-par` made
 //! thread-safe), and binds a [`PulseServer`] next to the worker pool.
 //!
-//! The mesh coordinator (`qa-mesh`) runs the *other* side of this
-//! conversation, so the crate also ships the scraping half:
-//!
-//! - [`http_get`] — a std-only blocking HTTP/1.1 client with explicit
-//!   connect/io deadlines ([`HttpTimeouts`]), exactly big enough to poll
-//!   `/healthz` and scrape `/metrics` on loopback. [`http_get_retry`]
-//!   wraps it in a bounded, deterministic-backoff [`RetryPolicy`] for
-//!   scrapes (liveness polls stay single-shot), counting each retry as
-//!   `qa_scrape_retries_total`.
-//! - [`parse_prometheus`] — the inverse of the text renderer: a scraped
-//!   exposition parses into a [`Scrape`] of [`Sample`]s, and
-//!   [`Scrape::to_metrics`] rebuilds a live [`qa_obs::Metrics`] registry
-//!   whose re-render round-trips byte-identically. Because
-//!   `Metrics::merge` is commutative and associative, merging parsed
-//!   worker scrapes federates a fleet into one registry whose exposition
-//!   does not depend on how the work was sharded.
+//! The crate also ships the client half of the conversation:
+//! [`http_get`] and [`http_request`] form a std-only blocking HTTP/1.1
+//! client with explicit connect/io deadlines ([`HttpTimeouts`]), exactly
+//! big enough to poll `/healthz`, scrape `/metrics`, or drive `qa-serve`
+//! on loopback from tests, examples and the serving benchmark.
 
 #![deny(missing_docs)]
 
 pub mod client;
 pub mod heap;
-pub mod parse;
 pub mod profile;
 pub mod render;
 pub mod server;
 
-pub use client::{http_get, http_get_retry, http_request, HttpResponse, HttpTimeouts, RetryPolicy};
+pub use client::{http_get, http_request, HttpResponse, HttpTimeouts};
 pub use heap::{CountingAlloc, HeapStats};
-pub use parse::{parse_prometheus, Sample, Scrape};
 pub use profile::{SpanProfile, SpanProfiler, Weight};
 pub use render::{metrics_text, validate_prometheus};
 pub use server::{

@@ -18,7 +18,7 @@
 //! ## Determinism
 //!
 //! Everything here is engineered so that `scope.json` is byte-identical
-//! across `--jobs N` and `--mesh N` topologies: tables are `BTreeMap`s
+//! across `--jobs N` and reruns: tables are `BTreeMap`s
 //! (sorted iteration), [`ScopeProfiler::merge`] is commutative and
 //! associative like `Metrics::merge`, and serialization visits keys in
 //! sorted order only. The heavy-hitter cap is deterministic too
@@ -437,7 +437,8 @@ impl ScopeProfiler {
     }
 
     /// Parse a `scope.json` document produced by [`ScopeProfiler::to_json`]
-    /// back into a profiler (for federation across processes).
+    /// back into a profiler (`qa-trace analyze top --by state` reads
+    /// `scope.json` files this way).
     pub fn from_json(input: &str) -> Result<ScopeProfiler, String> {
         let v = json::parse(input).map_err(|e| e.to_string())?;
         Self::from_value(&v)

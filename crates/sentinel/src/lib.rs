@@ -18,22 +18,20 @@
 //! Ticks are injected, never read from a wall clock, so evaluation is a
 //! pure function of the sample stream. The two drivers:
 //!
-//! - **Live** ([`SharedSentinel`]): the fleet's scrape loop and the mesh
-//!   coordinator's poll loop tick once per scrape, feeding dashboards via
+//! - **Live** ([`SharedSentinel`]): the fleet's and the serving daemon's
+//!   scrape loops tick once per scrape, feeding dashboards via
 //!   the pulse `/series` and `/alerts` endpoints. Wall-clock pacing makes
 //!   *which tick sees which value* nondeterministic — this path never
 //!   decides an exit code.
 //! - **Replay** ([`Replay`]): one tick per completed job, in global job
 //!   order, from each job's exact counters. Byte-identical across
-//!   `--jobs N`, `--mesh N` and reruns; this is what writes `alerts.log`,
+//!   `--jobs N` and reruns; this is what writes `alerts.log`,
 //!   names firing alerts in `postmortem.txt`, and sets the fleet's exit
 //!   code. `qa-trace analyze slo` reruns the same replay offline from an
 //!   `events.jsonl`.
 //!
 //! The crate depends only on `qa-obs` (registry, JSON, shared quantile
-//! rule); scraping remote workers stays in the callers, which convert
-//! `qa_pulse::parse_prometheus` scrapes into [`qa_obs::Metrics`] before
-//! ingestion.
+//! rule).
 
 #![deny(missing_docs)]
 
@@ -87,8 +85,7 @@ impl SharedSentinel {
     }
 
     /// Ingest one scrape of `metrics` under the next logical tick and
-    /// evaluate every rule. `labels` are attached to every sample (empty
-    /// for the in-process loop, `worker="wN"` in the coordinator).
+    /// evaluate every rule. `labels` are attached to every sample.
     /// Returns the transitions taken.
     pub fn scrape(&self, metrics: &Metrics, prefix: &str, labels: &Labels) -> Vec<Transition> {
         let mut guard = self.lock();
@@ -96,26 +93,6 @@ impl SharedSentinel {
         inner.next_tick += 1;
         let tick = inner.next_tick;
         inner.store.observe_metrics(metrics, prefix, labels, tick);
-        inner.engine.eval(&inner.store, tick)
-    }
-
-    /// Ingest samples for one scrape tick *without* evaluating — the mesh
-    /// coordinator appends every worker's scrape first, then calls
-    /// [`SharedSentinel::eval`] once, so rules see the whole fleet.
-    /// Returns the tick used.
-    pub fn ingest(&self, metrics: &Metrics, prefix: &str, labels: &Labels, tick: u64) -> u64 {
-        let mut inner = self.lock();
-        inner.next_tick = inner.next_tick.max(tick);
-        inner.store.observe_metrics(metrics, prefix, labels, tick);
-        tick
-    }
-
-    /// Evaluate every rule at `tick` (after one or more
-    /// [`SharedSentinel::ingest`] calls). Returns the transitions taken.
-    pub fn eval(&self, tick: u64) -> Vec<Transition> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.next_tick = inner.next_tick.max(tick);
         inner.engine.eval(&inner.store, tick)
     }
 
@@ -167,28 +144,5 @@ mod tests {
             .series_json(Some("qa_steps_total"), 8)
             .contains("qa_steps_total"));
         assert!(s.render_log().contains("pending -> firing"));
-    }
-
-    #[test]
-    fn ingest_then_eval_keeps_workers_apart() {
-        // Rules read unlabeled series; per-worker samples live under their
-        // own label sets, side by side in one store.
-        let rules = parse_rules("alert gone absent qa_fleet_jobs_total for 1\n").unwrap();
-        let s = SharedSentinel::new(rules);
-        let m = Metrics::new();
-        m.count(Counter::Steps, 100);
-        let w0 = vec![("worker".to_string(), "w0".to_string())];
-        let w1 = vec![("worker".to_string(), "w1".to_string())];
-        s.ingest(&m, "qa_fleet", &w0, 1);
-        s.ingest(&m, "qa_fleet", &w1, 1);
-        // The unlabeled family was never fed: the absence rule goes
-        // pending on the first eval.
-        let t = s.eval(1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].to, "pending");
-        // Both workers' series exist side by side.
-        let json = s.series_json(Some("qa_fleet_steps_total"), 4);
-        assert!(json.contains("\"worker\":\"w0\""), "{json}");
-        assert!(json.contains("\"worker\":\"w1\""), "{json}");
     }
 }

@@ -5,8 +5,8 @@
 //! code. The replay path instead drives the sentinel with one logical tick
 //! per completed job, in global job order, from each job's exact counters.
 //! The same fleet seed therefore produces the same cumulative series, the
-//! same rule verdicts and the same transition log whatever `--jobs` or
-//! `--mesh` topology executed the batch — and `qa-trace analyze slo` can
+//! same rule verdicts and the same transition log whatever `--jobs`
+//! setting executed the batch — and `qa-trace analyze slo` can
 //! reproduce the log offline from `events.jsonl` alone.
 
 use std::collections::BTreeMap;

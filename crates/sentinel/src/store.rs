@@ -9,8 +9,7 @@
 //! alert evaluation byte-identical across `--jobs N` and reruns.
 //!
 //! Out-of-order appends are rejected per series (a sample's tick must
-//! exceed the last retained tick), mirroring the tick discipline of
-//! `qa_mesh::timeline::Timeline`.
+//! exceed the last retained tick).
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -242,8 +241,7 @@ impl SeriesStore {
     /// histogram as cumulative `<prefix>_<series>_bucket{le=…}` plus
     /// `_sum`/`_count` — the exposition families, so in-process scrapes and
     /// parsed remote scrapes land in identically-named series. `labels` are
-    /// attached to every sample (e.g. `worker="w1"` in the mesh
-    /// coordinator's fleet store). Returns how many samples were appended.
+    /// attached to every sample. Returns how many samples were appended.
     pub fn observe_metrics(
         &mut self,
         metrics: &Metrics,

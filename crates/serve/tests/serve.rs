@@ -1,6 +1,7 @@
 //! End-to-end tests of the serving daemon over real sockets: parity with
 //! the batch evaluation path, admission-control sheds, cold/warm
-//! byte-identical answers, and a well-formed `/metrics` exposition.
+//! byte-identical answers, a well-formed `/metrics` exposition, and 4xx
+//! answers (not a crash) for hostile nesting depth.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -393,6 +394,44 @@ fn metrics_expose_the_serving_families_as_valid_prometheus() {
     ] {
         assert!(scrape.body.contains(family), "missing {family} in scrape");
     }
+    daemon.shutdown();
+}
+
+#[test]
+fn deeply_nested_bodies_and_formulas_get_4xx_and_the_daemon_stays_up() {
+    let daemon = ServeDaemon::start(quiet_config()).expect("daemon starts");
+    let addr = daemon.addr();
+    assert_eq!(put_doc(addr, "d", "(a b)").status, 200);
+
+    // 20,000 nested arrays: a JSON parse error, not a stack overflow.
+    let resp = post_query(addr, &"[".repeat(20_000));
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let health = http_get(addr, "/healthz", timeouts()).expect("GET /healthz");
+    assert_eq!(health.status, 200);
+
+    // 5,000 nested parentheses: a formula parse error, answered 422.
+    let deep = format!("{}leaf(v){}", "(".repeat(5_000), ")".repeat(5_000));
+    let resp = post_query(
+        addr,
+        &json::object(|w| {
+            w.field_str("formula", &deep);
+            w.field_str("doc", "d");
+        }),
+    );
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    assert!(resp.body.contains("deeper than"), "{}", resp.body);
+    let health = http_get(addr, "/healthz", timeouts()).expect("GET /healthz");
+    assert_eq!(health.status, 200);
+
+    // The daemon still answers queries.
+    let resp = post_query(
+        addr,
+        &json::object(|w| {
+            w.field_str("formula", "label(v, b)");
+            w.field_str("doc", "d");
+        }),
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
     daemon.shutdown();
 }
 

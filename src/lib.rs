@@ -19,10 +19,9 @@
 //! | [`decision`] | non-emptiness / containment / equivalence, corridor tiling | §6 |
 //! | [`obs`] | zero-cost [`Observer`](obs::Observer) instrumentation, [`Metrics`](obs::Metrics), [`RunTrace`](obs::RunTrace) | — |
 //! | [`probe`] | selection provenance ([`ProvenanceObserver`](probe::ProvenanceObserver)), Chrome trace-event / Prometheus exports, trace diffing, the `qa-trace` CLI | §3–5 certificates |
-//! | [`flight`] | always-on telemetry: [`FlightRecorder`](flight::FlightRecorder) ring, [`Watchdog`](flight::Watchdog) budgets, deterministic sampling, the `qa-fleet` batch runner | — |
+//! | [`flight`] | always-on telemetry: [`FlightRecorder`](flight::FlightRecorder) ring, [`Watchdog`](flight::Watchdog) budgets, deterministic sampling, per-job wide events ([`JobEvent`](flight::JobEvent)) | — |
 //! | [`par`] | parallel batch evaluation ([`par_batch`](par::par_batch) work-stealing executor) with per-worker [`BehaviorCache`](par::BehaviorCache) memoization | §3.9, §5.11, §6 at batch scale |
-//! | [`pulse`] | live ops surface: std-only HTTP [`PulseServer`](pulse::PulseServer) (`/metrics`, health, `/flight`, `/profile`), HTTP client + Prometheus parser for federation, [`SpanProfiler`](pulse::SpanProfiler) flamegraphs, opt-in [`CountingAlloc`](pulse::CountingAlloc) heap accounting | — |
-//! | [`mesh`] | multi-process fleets: [`run_mesh`](mesh::run_mesh) coordinator sharding jobs over spawned workers, federated metrics/profiles/flight dumps, liveness timelines, chaos-tolerant reassignment | — |
+//! | [`pulse`] | live ops surface: std-only HTTP [`PulseServer`](pulse::PulseServer) (`/metrics`, health, `/flight`, `/profile`), HTTP client, [`SpanProfiler`](pulse::SpanProfiler) flamegraphs, opt-in [`CountingAlloc`](pulse::CountingAlloc) heap accounting | — |
 //! | [`sentinel`] | embedded time-series rings ([`SeriesStore`](sentinel::SeriesStore)), window queries (rate/delta/quantile), declarative [`AlertRule`](sentinel::AlertRule)s with SLO burn-rate, deterministic [`Replay`](sentinel::Replay) alerting | — |
 //! | [`serve`] | resident query serving: [`DocStore`](serve::DocStore) + [`QueryCache`](serve::QueryCache) behind a `PUT /doc` / `POST /query` HTTP API ([`ServeDaemon`](serve::ServeDaemon)), admission control, soak harness | §4–5 served live |
 //! | [`xml`] | XML subset, DTDs, validation (Figures 1–4) | §1 |
@@ -49,7 +48,6 @@ pub use qa_base as base;
 pub use qa_core as core;
 pub use qa_decision as decision;
 pub use qa_flight as flight;
-pub use qa_mesh as mesh;
 pub use qa_mso as mso;
 pub use qa_obs as obs;
 pub use qa_par as par;
