@@ -29,7 +29,7 @@ fn main() {
             assert!(automaton.accepts(&doc.tree))
         });
         h.bench(&format!("query/{k}"), || {
-            let sel = qa_mso::query_eval::eval_unary_unranked(&compiled, &doc.tree, sigma);
+            let sel = qa_mso::PreparedUnary::new(&compiled, sigma).eval_unranked(&doc.tree);
             assert_eq!(sel.len(), 3 * k);
         });
     }

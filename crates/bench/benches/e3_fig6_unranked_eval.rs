@@ -20,7 +20,7 @@ fn main() {
     for n in [50usize, 200, 800] {
         let t = qa_bench::random_binary_labeled(n, 7 + n as u64);
         h.bench(&format!("fig6_two_pass/{n}"), || {
-            qa_mso::query_eval::eval_unary_unranked(&d, &t, 2).len()
+            qa_mso::PreparedUnary::new(&d, 2).eval_unranked(&t).len()
         });
         h.bench(&format!("sqau_run/{n}"), || sqa.query(&t).unwrap().len());
         if n <= 200 {

@@ -195,7 +195,7 @@ fn generate_scenarios() -> String {
             let phi = qa_mso::parse("leaf(v) & (ex r. (root(r) & label(r, s)))", &mut a).unwrap();
             let d = qa_mso::compile_ranked::compile_unary(&phi, "v", 2, 2).unwrap();
             let t = qa_trees::generate::complete(a.symbol("s"), 2, 8);
-            qa_mso::query_eval::eval_unary_ranked_with(&d, &t, 2, &mut m.observer());
+            qa_mso::PreparedUnary::new(&d, 2).eval_ranked_with(&t, &mut m.observer());
         });
 
         // Lemma 5.2: NBTAu non-emptiness fixpoint + witness assembly.
@@ -597,7 +597,6 @@ fn with_par_batch<R>(f: impl FnOnce(&[qa_par::Job<'_>], &qa_core::ranked::Dbta) 
             jobs.push(Job::Mso {
                 query: &prepared,
                 tree: t,
-                unranked: false,
             });
         }
     }
@@ -662,9 +661,9 @@ fn par_bench_inner(gate: bool, jobs: &[qa_par::Job<'_>], dbta: &qa_core::ranked:
                     Ok(nodes) => Outcome::Nodes(nodes),
                     Err(e) => Outcome::Error(e.to_string()),
                 },
-                Job::Mso { tree, .. } => {
-                    Outcome::Nodes(qa_mso::query_eval::eval_unary_ranked(dbta, tree, 2))
-                }
+                Job::Mso { tree, .. } => Outcome::Nodes(
+                    qa_mso::PreparedUnary::new(dbta, 2).eval_ranked_with(tree, &mut NoopObserver),
+                ),
                 Job::NonEmptiness { qa, max_items } => {
                     match non_emptiness_with(qa, max_items, &mut NoopObserver) {
                         Ok(w) => Outcome::Witness(w.map(|w| (w.tree.num_nodes(), w.node))),

@@ -448,8 +448,10 @@ mod tests {
     use super::*;
     use crate::naive::{check, query, Structure};
     use crate::parser::parse;
+    use crate::PreparedUnary;
     use qa_base::rng::StdRng;
     use qa_base::Alphabet;
+    use qa_obs::NoopObserver;
 
     fn random_trees(sigma: usize, m: usize, count: usize, seed: u64) -> Vec<Tree> {
         let labels: Vec<Symbol> = (0..sigma).map(Symbol::from_index).collect();
@@ -514,20 +516,40 @@ mod tests {
 
     #[test]
     fn unary_query_agrees_with_naive() {
-        let mut a = Alphabet::from_names(["s", "t"]);
-        // the Section 1 flagship: select all leaves if the root is labeled s
-        let f = parse("leaf(v) & (ex r. (root(r) & label(r, s)))", &mut a).unwrap();
-        let d = compile_unary(&f, "v", a.len(), 2).unwrap();
-        for t in random_trees(2, 2, 4, 7) {
-            let naive = query(Structure::Tree(&t), &f, "v").unwrap();
-            for v in t.nodes() {
-                let marked = mark_tree(&t, v, 2);
-                assert_eq!(
-                    d.accepts(&marked),
-                    naive.contains(&v.index()),
-                    "node {v:?} of {}",
-                    t.render(&a)
-                );
+        let table = [
+            // the Section 1 flagship: select all leaves if the root is labeled s
+            "leaf(v) & (ex r. (root(r) & label(r, s)))",
+            "label(v, t)",
+            "root(v) | (leaf(v) & label(v, s))",
+            "ex w. (first_child(w, v) & label(w, t))",
+            "ex w. (second_child(v, w) & label(w, s))",
+            "ex w. (edge(w, v) & label(w, s))",
+            // Nested quantifiers: every child of v has a t-labeled child.
+            "all w. (edge(v, w) -> ex u. (edge(w, u) & label(u, t)))",
+        ];
+        for (i, src) in table.into_iter().enumerate() {
+            let mut a = Alphabet::from_names(["s", "t"]);
+            let f = parse(src, &mut a).unwrap();
+            let d = compile_unary(&f, "v", a.len(), 2).unwrap();
+            let prepared = PreparedUnary::new(&d, a.len());
+            for t in random_trees(2, 2, 4, 7 + i as u64) {
+                let naive = query(Structure::Tree(&t), &f, "v").unwrap();
+                let mut fig5: Vec<usize> = prepared
+                    .eval_ranked_with(&t, &mut NoopObserver)
+                    .into_iter()
+                    .map(|v| v.index())
+                    .collect();
+                fig5.sort_unstable();
+                assert_eq!(fig5, naive, "{src} on {}", t.render(&a));
+                for v in t.nodes() {
+                    let marked = mark_tree(&t, v, 2);
+                    assert_eq!(
+                        d.accepts(&marked),
+                        naive.contains(&v.index()),
+                        "{src}: node {v:?} of {}",
+                        t.render(&a)
+                    );
+                }
             }
         }
     }

@@ -18,8 +18,9 @@
 //!   atoms are translated to the binary encoding (Theorem 5.4's
 //!   expressiveness, realized constructively).
 //! - [`query_eval`]: unary queries `φ(x)`: the naive per-node strategy and
-//!   the **two-pass algorithm of Figures 5/6** (bottom-up states, top-down
-//!   contexts) computing all selected nodes in one pass each way.
+//!   [`PreparedUnary`], the one entry point to the **two-pass algorithm of
+//!   Figures 5/6** (bottom-up states, top-down contexts) computing all
+//!   selected nodes in one pass each way.
 //! - [`to_qa`]: Theorem 3.9, constructive direction — a unary string query
 //!   compiled into a literal [`qa_twoway::StringQa`] via the
 //!   Hopcroft–Ullman composition (Lemma 3.10).

@@ -7,7 +7,9 @@
 //! paper's Figure 5 (ranked) / Figure 6 (unranked) algorithm computes every
 //! node's verdict in one bottom-up pass (subtree states, the
 //! `τ(t_v, v)` analogue) and one top-down pass (context tables, the
-//! `τ(t̄_v, v)` analogue): `O(n · |Q|)` overall.
+//! `τ(t̄_v, v)` analogue): `O(n · |Q|)` overall. [`PreparedUnary`] is its
+//! one entry point; Figure 6 is Figure 5 run on the first-child/next-sibling
+//! encoding.
 
 use qa_base::Symbol;
 use qa_core::ranked::{ops, Dbta};
@@ -26,33 +28,20 @@ pub fn eval_unary_ranked_naive(d: &Dbta, tree: &Tree, sigma: usize) -> Vec<NodeI
         .collect()
 }
 
-/// The Figure 5 algorithm on the compiled automaton: one bottom-up pass
-/// computing the all-unmarked subtree state of every node, one top-down
-/// pass computing every node's *context table* (the function "state at `v`
-/// ↦ state at the root"), then a per-node verdict. `O(n · |Q|)`.
-pub fn eval_unary_ranked(d: &Dbta, tree: &Tree, sigma: usize) -> Vec<NodeId> {
-    eval_unary_ranked_with(d, tree, sigma, &mut NoopObserver)
+/// Naive per-node evaluation for unranked trees. `O(n²)`.
+pub fn eval_unary_unranked_naive(d: &Dbta, tree: &Tree, sigma: usize) -> Vec<NodeId> {
+    tree.nodes()
+        .filter(|&v| crate::unranked::selects_unranked(d, tree, v, sigma))
+        .collect()
 }
 
-/// [`eval_unary_ranked`] with an [`Observer`]: the two passes and the
-/// verdict scan run as named phases, every deterministic transition lookup
-/// is a [`Counter::TableLookups`], and the machine's (totalized) state
-/// count lands in [`Series::MachineStates`]. With [`NoopObserver`] this
-/// monomorphizes to exactly `eval_unary_ranked`.
-pub fn eval_unary_ranked_with<O: Observer>(
-    d: &Dbta,
-    tree: &Tree,
-    sigma: usize,
-    obs: &mut O,
-) -> Vec<NodeId> {
-    eval_total(&ops::totalize(d), tree, sigma, obs)
-}
-
-/// A unary query prepared for batch evaluation: the compiled automaton is
-/// totalized **once** instead of per document. `eval_unary_ranked` pays the
-/// `O(|Q| · |Σ×{0,1}| · rank)` totalization on every call; across a 10k
-/// document batch that fixed cost dominates small-tree evaluation, so batch
-/// drivers (qa-par, qa-fleet) evaluate through a `PreparedUnary`.
+/// A compiled unary query prepared for the Figure 5/6 algorithm: the
+/// automaton is totalized **once**, at construction, instead of per
+/// document. Totalization costs `O(|Q| · |Σ×{0,1}| · rank)`; across a
+/// batch of small documents that fixed cost would dominate evaluation, so
+/// qa-par's `Job::Mso` and the serving daemon's query cache hold a
+/// `PreparedUnary` per compiled query and evaluate every document through
+/// it.
 #[derive(Clone, Debug)]
 pub struct PreparedUnary {
     total: Dbta,
@@ -74,41 +63,44 @@ impl PreparedUnary {
         self.sigma
     }
 
-    /// [`eval_unary_ranked`] against the pre-totalized automaton.
-    pub fn eval_ranked(&self, tree: &Tree) -> Vec<NodeId> {
-        self.eval_ranked_with(tree, &mut NoopObserver)
-    }
-
-    /// [`eval_unary_ranked_with`] against the pre-totalized automaton.
+    /// Figure 5 on a ranked tree: one bottom-up pass computing the
+    /// all-unmarked subtree state of every node, one top-down pass computing
+    /// every node's *context table* (the function "state at `v` ↦ state at
+    /// the root"), then a per-node verdict. `O(n · |Q|)`.
+    ///
+    /// The two passes and the verdict scan run as named phases, every
+    /// deterministic transition lookup is a [`Counter::TableLookups`], and
+    /// the machine's (totalized) state count lands in
+    /// [`Series::MachineStates`]. With [`NoopObserver`] the instrumentation
+    /// compiles away.
     pub fn eval_ranked_with<O: Observer>(&self, tree: &Tree, obs: &mut O) -> Vec<NodeId> {
-        eval_total(&self.total, tree, self.sigma, obs)
+        two_pass(&self.total, tree, self.sigma, obs)
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect()
     }
 
-    /// [`eval_unary_unranked`] against the pre-totalized automaton.
+    /// Figure 6 on an unranked tree, without instrumentation.
     pub fn eval_unranked(&self, tree: &Tree) -> Vec<NodeId> {
         self.eval_unranked_with(tree, &mut NoopObserver)
     }
 
-    /// [`eval_unary_unranked_with`] against the pre-totalized automaton.
+    /// Figure 6 on an unranked tree: encode it (first-child/next-sibling)
+    /// as its own `fcns encoding` phase, run Figure 5 on the encoding, and
+    /// map the selected encoded nodes back.
     pub fn eval_unranked_with<O: Observer>(&self, tree: &Tree, obs: &mut O) -> Vec<NodeId> {
-        obs.phase_start("fcns encoding");
-        let (enc, map) = qa_trees::fcns::encode_with_map(tree, nil_symbol(self.sigma));
-        obs.phase_end("fcns encoding");
-        let selected_enc = eval_total(&self.total, &enc, encoded_alphabet_len(self.sigma), obs);
-        selected_enc
+        self.eval_unranked_explained(tree, obs)
             .into_iter()
-            .filter_map(|ev| map[ev.index()])
+            .map(|(v, _)| v)
             .collect()
     }
 
     /// Like [`eval_unranked_with`](Self::eval_unranked_with), but pairs
     /// every selected node with its Figure 5 certificate: the state the
     /// bottom-up run reaches on the *marked* node, whose context maps it
-    /// to an accepting root. The certificate is captured from the
-    /// [`Observer::selected`] events of the ranked run on the FCNS
-    /// encoding and mapped back to the unranked tree, so the node list
-    /// (and its order) is identical to `eval_unranked_with`. A serving
-    /// daemon uses this for `why_selected` provenance.
+    /// to an accepting root. The node list (and its order) is identical to
+    /// `eval_unranked_with`. A serving daemon uses this for
+    /// `why_selected` provenance.
     pub fn eval_unranked_explained<O: Observer>(
         &self,
         tree: &Tree,
@@ -117,79 +109,16 @@ impl PreparedUnary {
         obs.phase_start("fcns encoding");
         let (enc, map) = qa_trees::fcns::encode_with_map(tree, nil_symbol(self.sigma));
         obs.phase_end("fcns encoding");
-        let mut tap = CertificateTap {
-            inner: obs,
-            picks: Vec::new(),
-        };
-        let _ = eval_total(
-            &self.total,
-            &enc,
-            encoded_alphabet_len(self.sigma),
-            &mut tap,
-        );
-        tap.picks
+        two_pass(&self.total, &enc, encoded_alphabet_len(self.sigma), obs)
             .into_iter()
-            .filter_map(|(pos, state)| map[pos as usize].map(|v| (v, state)))
+            .filter_map(|(ev, state)| map[ev.index()].map(|v| (v, state)))
             .collect()
     }
 }
 
-/// Forwards every event to the wrapped observer while capturing the
-/// `(node, marked_state)` pairs of [`Observer::selected`] events.
-struct CertificateTap<'a, O> {
-    inner: &'a mut O,
-    picks: Vec<(u32, u32)>,
-}
-
-impl<O: Observer> Observer for CertificateTap<'_, O> {
-    #[inline]
-    fn count(&mut self, counter: Counter, n: u64) {
-        self.inner.count(counter, n);
-    }
-    #[inline]
-    fn record(&mut self, series: Series, value: u64) {
-        self.inner.record(series, value);
-    }
-    #[inline]
-    fn config(&mut self, state: u32, pos: u32, dir: i8) {
-        self.inner.config(state, pos, dir);
-    }
-    #[inline]
-    fn phase_start(&mut self, name: &'static str) {
-        self.inner.phase_start(name);
-    }
-    #[inline]
-    fn phase_end(&mut self, name: &'static str) {
-        self.inner.phase_end(name);
-    }
-    #[inline]
-    fn selected(&mut self, pos: u32, state: u32, sym: u32) {
-        self.picks.push((pos, state));
-        self.inner.selected(pos, state, sym);
-    }
-    #[inline]
-    fn stay_assign(&mut self, parent: u32, child: u32, state: u32) {
-        self.inner.stay_assign(parent, child, state);
-    }
-    #[inline]
-    fn state_visit(&mut self, machine: Machine, state: u32, sym: u32) {
-        self.inner.state_visit(machine, state, sym);
-    }
-    #[inline]
-    fn transition_fired(&mut self, machine: Machine, from: u32, sym: u32, to: u32) {
-        self.inner.transition_fired(machine, from, sym, to);
-    }
-    #[inline]
-    fn checkpoint(&mut self) -> Result<(), qa_obs::Abort> {
-        self.inner.checkpoint()
-    }
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        self.inner.is_enabled()
-    }
-}
-
-/// The Figure 5 two-pass algorithm on an already-total automaton.
+/// The Figure 5 two-pass algorithm on an already-total automaton. Returns
+/// every selected node paired with its certificate, the state the
+/// bottom-up run reaches on the marked node.
 ///
 /// Every node processed counts one `Counter::Steps` and polls
 /// [`Observer::checkpoint`]; a budget-enforcing observer (a serving
@@ -197,77 +126,76 @@ impl<O: Observer> Observer for CertificateTap<'_, O> {
 /// evaluation early. An aborted evaluation returns an empty selection —
 /// the caller distinguishes "nothing selected" from "budget tripped" by
 /// inspecting its watchdog.
-fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> Vec<NodeId> {
+fn two_pass<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> Vec<(NodeId, u32)> {
     obs.record(Series::MachineStates, d.num_states() as u64);
     let unmarked = |s: Symbol| ext_symbol(s, 0, sigma);
     let marked = |s: Symbol| ext_symbol(s, 1, sigma);
+    // Scratch row of child states, refilled per node.
+    let mut kids: Vec<StateId> = Vec::new();
 
     // Pass 1 (bottom-up): b[v] = state of the unmarked subtree t_v.
     obs.phase_start("bottom-up pass");
-    let mut b: Vec<Option<StateId>> = vec![None; tree.num_nodes()];
+    let mut b: Vec<StateId> = vec![StateId(0); tree.num_nodes()];
     for v in tree.postorder() {
         obs.count(Counter::Steps, 1);
         if obs.checkpoint().is_err() {
             obs.phase_end("bottom-up pass");
             return Vec::new();
         }
-        let children: Vec<StateId> = tree
-            .children(v)
-            .iter()
-            .map(|c| b[c.index()].expect("postorder"))
-            .collect();
+        kids.clear();
+        kids.extend(tree.children(v).iter().map(|c| b[c.index()]));
         obs.count(Counter::TableLookups, 1);
         let ext = unmarked(tree.label(v));
-        b[v.index()] = d.transition(&children, ext);
-        if let Some(q) = b[v.index()] {
-            obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
-            if obs.is_enabled() {
-                for &c in &children {
-                    obs.transition_fired(
-                        Machine::Dbtar,
-                        c.index() as u32,
-                        ext.index() as u32,
-                        q.index() as u32,
-                    );
-                }
-            }
-        }
-        if b[v.index()].is_none() {
+        let Some(q) = d.transition(&kids, ext) else {
             // total automaton ⇒ only possible if the tree's rank exceeds
             // the automaton's; nothing is selected then.
             obs.phase_end("bottom-up pass");
             return Vec::new();
+        };
+        b[v.index()] = q;
+        obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
+        if obs.is_enabled() {
+            for &c in &kids {
+                obs.transition_fired(
+                    Machine::Dbtar,
+                    c.index() as u32,
+                    ext.index() as u32,
+                    q.index() as u32,
+                );
+            }
         }
     }
     obs.phase_end("bottom-up pass");
 
-    // Pass 2 (top-down): ctx[v][q] = root state if v's subtree evaluated to
-    // q (everything outside v unmarked).
+    // Pass 2 (top-down): ctx[v·|Q| + q] = root state if v's subtree
+    // evaluated to q (everything outside v unmarked).
     obs.phase_start("top-down pass");
     let nq = d.num_states();
-    let mut ctx: Vec<Option<Vec<StateId>>> = vec![None; tree.num_nodes()];
-    ctx[tree.root().index()] = Some((0..nq).map(StateId::from_index).collect());
+    let mut ctx: Vec<StateId> = vec![StateId(0); tree.num_nodes() * nq];
+    let root = tree.root().index() * nq;
+    for (q, slot) in ctx[root..root + nq].iter_mut().enumerate() {
+        *slot = StateId::from_index(q);
+    }
     for v in tree.preorder() {
         obs.count(Counter::Steps, 1);
         if obs.checkpoint().is_err() {
             obs.phase_end("top-down pass");
             return Vec::new();
         }
-        let table = ctx[v.index()].clone().expect("preorder");
-        let kids = tree.children(v).to_vec();
-        let kid_states: Vec<StateId> = kids.iter().map(|c| b[c.index()].unwrap()).collect();
-        for (i, &c) in kids.iter().enumerate() {
-            let mut child_table: Vec<StateId> = Vec::with_capacity(nq);
-            for q_idx in 0..nq {
-                let mut children = kid_states.clone();
-                children[i] = StateId::from_index(q_idx);
+        let table = v.index() * nq;
+        let ext = unmarked(tree.label(v));
+        kids.clear();
+        kids.extend(tree.children(v).iter().map(|c| b[c.index()]));
+        for (i, &c) in tree.children(v).iter().enumerate() {
+            let own = kids[i];
+            for q in 0..nq {
+                kids[i] = StateId::from_index(q);
                 obs.count(Counter::TableLookups, 1);
-                let ext = unmarked(tree.label(v));
-                let here = d.transition(&children, ext).expect("totalized");
+                let here = d.transition(&kids, ext).expect("totalized");
                 obs.state_visit(Machine::Dbtar, here.index() as u32, ext.index() as u32);
-                child_table.push(table[here.index()]);
+                ctx[c.index() * nq + q] = ctx[table + here.index()];
             }
-            ctx[c.index()] = Some(child_table);
+            kids[i] = own;
         }
     }
     obs.phase_end("top-down pass");
@@ -281,17 +209,13 @@ fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> 
             obs.phase_end("verdicts");
             return Vec::new();
         }
-        let children: Vec<StateId> = tree
-            .children(v)
-            .iter()
-            .map(|c| b[c.index()].unwrap())
-            .collect();
+        kids.clear();
+        kids.extend(tree.children(v).iter().map(|c| b[c.index()]));
         obs.count(Counter::SelectionChecks, 1);
         let ext = marked(tree.label(v));
-        if let Some(q_marked) = d.transition(&children, ext) {
+        if let Some(q_marked) = d.transition(&kids, ext) {
             obs.state_visit(Machine::Dbtar, q_marked.index() as u32, ext.index() as u32);
-            let root_state = ctx[v.index()].as_ref().unwrap()[q_marked.index()];
-            if d.is_final(root_state) {
+            if d.is_final(ctx[v.index() * nq + q_marked.index()]) {
                 // certificate: marking v drives the bottom-up run
                 // into q_marked, and v's context maps that to an
                 // accepting root state.
@@ -301,43 +225,12 @@ fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> 
                     q_marked.index() as u32,
                     tree.label(v).index() as u32,
                 );
-                out.push(v);
+                out.push((v, q_marked.index() as u32));
             }
         }
     }
     obs.phase_end("verdicts");
     out
-}
-
-/// Figure 6 for unranked trees: encode (first-child/next-sibling), run the
-/// ranked two-pass on the encoding, and map selected encoded nodes back.
-pub fn eval_unary_unranked(d: &Dbta, tree: &Tree, sigma: usize) -> Vec<NodeId> {
-    eval_unary_unranked_with(d, tree, sigma, &mut NoopObserver)
-}
-
-/// [`eval_unary_unranked`] with an [`Observer`]: the FCNS encoding runs as
-/// its own phase, then delegates to [`eval_unary_ranked_with`].
-pub fn eval_unary_unranked_with<O: Observer>(
-    d: &Dbta,
-    tree: &Tree,
-    sigma: usize,
-    obs: &mut O,
-) -> Vec<NodeId> {
-    obs.phase_start("fcns encoding");
-    let (enc, map) = qa_trees::fcns::encode_with_map(tree, nil_symbol(sigma));
-    obs.phase_end("fcns encoding");
-    let selected_enc = eval_unary_ranked_with(d, &enc, encoded_alphabet_len(sigma), obs);
-    selected_enc
-        .into_iter()
-        .filter_map(|ev| map[ev.index()])
-        .collect()
-}
-
-/// Naive per-node evaluation for unranked trees. `O(n²)`.
-pub fn eval_unary_unranked_naive(d: &Dbta, tree: &Tree, sigma: usize) -> Vec<NodeId> {
-    tree.nodes()
-        .filter(|&v| crate::unranked::selects_unranked(d, tree, v, sigma))
-        .collect()
 }
 
 #[cfg(test)]
@@ -354,10 +247,11 @@ mod tests {
         let f = parse("leaf(v) & (ex r. (root(r) & label(r, s)))", &mut a).unwrap();
         let d = compile_ranked::compile_unary(&f, "v", 2, 2).unwrap();
         let labels = [a.symbol("s"), a.symbol("t")];
+        let prepared = PreparedUnary::new(&d, 2);
         let mut rng = StdRng::seed_from_u64(23);
         for n in [1usize, 3, 7, 15, 40] {
             let t = qa_trees::generate::random(&mut rng, &labels, n, Some(2));
-            let mut fast = eval_unary_ranked(&d, &t, 2);
+            let mut fast = prepared.eval_ranked_with(&t, &mut NoopObserver);
             let mut naive = eval_unary_ranked_naive(&d, &t, 2);
             fast.sort_unstable();
             naive.sort_unstable();
@@ -372,39 +266,15 @@ mod tests {
         let f = parse(src, &mut a).unwrap();
         let d = unranked::compile_unary(&f, "v", 2).unwrap();
         let labels = [a.symbol("0"), a.symbol("1")];
+        let prepared = PreparedUnary::new(&d, 2);
         let mut rng = StdRng::seed_from_u64(29);
         for n in [1usize, 4, 9, 20] {
             let t = qa_trees::generate::random(&mut rng, &labels, n, None);
-            let mut fast = eval_unary_unranked(&d, &t, 2);
+            let mut fast = prepared.eval_unranked(&t);
             let mut naive = eval_unary_unranked_naive(&d, &t, 2);
             fast.sort_unstable();
             naive.sort_unstable();
             assert_eq!(fast, naive, "{}", t.render(&a));
-        }
-    }
-
-    #[test]
-    fn prepared_matches_per_call_evaluation() {
-        let mut a = Alphabet::from_names(["s", "t"]);
-        let f = parse("leaf(v) & (ex r. (root(r) & label(r, s)))", &mut a).unwrap();
-        let d = compile_ranked::compile_unary(&f, "v", 2, 2).unwrap();
-        let prepared = PreparedUnary::new(&d, 2);
-        let labels = [a.symbol("s"), a.symbol("t")];
-        let mut rng = StdRng::seed_from_u64(41);
-        for n in [1usize, 5, 17, 33] {
-            let t = qa_trees::generate::random(&mut rng, &labels, n, Some(2));
-            assert_eq!(prepared.eval_ranked(&t), eval_unary_ranked(&d, &t, 2));
-        }
-
-        let mut a2 = Alphabet::from_names(["0", "1"]);
-        let src = "label(v, 1) & leaf(v) & !(ex w. (w < v & label(w, 1)))";
-        let f2 = parse(src, &mut a2).unwrap();
-        let d2 = unranked::compile_unary(&f2, "v", 2).unwrap();
-        let prepared2 = PreparedUnary::new(&d2, 2);
-        let labels2 = [a2.symbol("0"), a2.symbol("1")];
-        for n in [1usize, 6, 14] {
-            let t = qa_trees::generate::random(&mut rng, &labels2, n, None);
-            assert_eq!(prepared2.eval_unranked(&t), eval_unary_unranked(&d2, &t, 2));
         }
     }
 
@@ -416,7 +286,7 @@ mod tests {
         let f = parse("leaf(v) & (ex r. (root(r) & label(r, s)))", &mut a).unwrap();
         let d = compile_ranked::compile_unary(&f, "v", 2, 2).unwrap();
         let t = qa_trees::generate::complete(a.symbol("s"), 2, 12); // 8191 nodes
-        let selected = eval_unary_ranked(&d, &t, 2);
+        let selected = PreparedUnary::new(&d, 2).eval_ranked_with(&t, &mut NoopObserver);
         assert_eq!(selected.len(), 4096, "all leaves selected");
     }
 }

@@ -114,7 +114,7 @@ pub fn compile_sentence(f: &Formula, sigma: usize) -> Result<Dbta> {
 }
 
 /// Compile a unary unranked query `φ(x)` to a DBTAʳ over the encoded
-/// marked alphabet; evaluate with [`crate::query_eval::eval_unary_unranked`].
+/// marked alphabet; evaluate with [`PreparedUnary::eval_unranked`](crate::PreparedUnary::eval_unranked).
 pub fn compile_unary(f: &Formula, var: &str, sigma: usize) -> Result<Dbta> {
     let translated = translate(f, sigma, 0)?;
     // relativize the free variable as well

@@ -100,17 +100,14 @@ pub enum Job<'a> {
         /// The input tree.
         tree: &'a Tree,
     },
-    /// Evaluate a compiled MSO unary query on a tree. The
-    /// [`PreparedUnary`] *is* the cache here — totalization is paid once at
-    /// construction, outside the batch. Yields [`Outcome::Nodes`].
+    /// Evaluate a compiled MSO unary query on a ranked tree (Figure 5).
+    /// The [`PreparedUnary`] *is* the cache here — totalization is paid
+    /// once at construction, outside the batch. Yields [`Outcome::Nodes`].
     Mso {
         /// The prepared (pre-totalized) compiled query.
         query: &'a PreparedUnary,
         /// The input tree.
         tree: &'a Tree,
-        /// Evaluate as an unranked document (via the first-child/next-sibling
-        /// encoding) instead of as a ranked tree.
-        unranked: bool,
     },
     /// Decide non-emptiness of a ranked QA ([`non_emptiness_cached`]).
     /// Yields [`Outcome::Witness`].
@@ -171,15 +168,7 @@ pub fn evaluate_cached<O: Observer>(
             Ok(nodes) => Outcome::Nodes(nodes),
             Err(e) => Outcome::Error(e.to_string()),
         },
-        Job::Mso {
-            query,
-            tree,
-            unranked,
-        } => Outcome::Nodes(if unranked {
-            query.eval_unranked_with(tree, obs)
-        } else {
-            query.eval_ranked_with(tree, obs)
-        }),
+        Job::Mso { query, tree } => Outcome::Nodes(query.eval_ranked_with(tree, obs)),
         Job::NonEmptiness { qa, max_items } => {
             match non_emptiness_cached(qa, max_items, &mut cache.summaries, obs) {
                 Ok(w) => Outcome::Witness(w.map(|w| (w.tree.num_nodes(), w.node))),

@@ -172,7 +172,8 @@ fn run_workload(name: &str, input: Option<&str>) -> Result<Recorded, String> {
                 let d = qa_mso::compile_ranked::compile_unary(&phi, "v", 2, 2)
                     .map_err(|e| e.to_string())?;
                 let t = qa_trees::generate::complete(a.symbol("s"), 2, 4);
-                qa_mso::query_eval::eval_unary_ranked_with(&d, &t, 2, &mut obs)
+                qa_mso::PreparedUnary::new(&d, 2)
+                    .eval_ranked_with(&t, &mut obs)
                     .into_iter()
                     .map(|n| n.index())
                     .collect()

@@ -3,6 +3,7 @@
 //! [`Metrics`] registries.
 
 use qa_obs::json::{self, ParseError, Value};
+use qa_obs::stats::bucket_le;
 use qa_obs::{Counter, Metrics, RunTrace, Series};
 
 /// Serialize a trace's phase spans to Chrome trace-event JSON.
@@ -99,17 +100,6 @@ fn metadata_event(kind: &str, pid: u64, tid: Option<u64>, name: &str) -> String 
         }
         w.field_raw("args", &json::object(|aw| aw.field_str("name", name)));
     })
-}
-
-/// Upper bound (inclusive, integer-valued) of histogram bucket `i` under
-/// qa-obs's power-of-two scheme: bucket 0 holds the value 0, bucket `i ≥ 1`
-/// holds `[2^(i-1), 2^i)`.
-fn bucket_le(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        (1u64 << i.min(63)) - 1
-    }
 }
 
 /// Escape a Prometheus label value: `\` → `\\`, `"` → `\"`, newline →
@@ -260,16 +250,6 @@ mod tests {
         assert_eq!(events[4].get("tid").and_then(Value::as_u64), Some(1));
         let args = events[5].get("args").unwrap();
         assert_eq!(args.get("steps").and_then(Value::as_u64), Some(9));
-    }
-
-    #[test]
-    fn bucket_le_matches_bucket_index() {
-        // bucket_le(i) must be the largest integer mapped to bucket i.
-        use qa_obs::metrics::bucket_index;
-        for i in 0..20usize {
-            assert_eq!(bucket_index(bucket_le(i)), i);
-            assert_eq!(bucket_index(bucket_le(i) + 1), i + 1);
-        }
     }
 
     #[test]

@@ -148,8 +148,8 @@ mod tests {
     use super::*;
 
     // The test binary does NOT install the allocator, so these exercise
-    // the tally arithmetic directly; crates/pulse/tests/alloc.rs covers
-    // the installed path end-to-end.
+    // the tally arithmetic directly; crates/pulse/tests/alloc.rs and
+    // alloc_live.rs cover the installed path end-to-end.
     #[test]
     fn tallies_add_up() {
         let before = HeapStats::snapshot();

@@ -1,31 +1,13 @@
 //! End-to-end test of the counting allocator: this test binary actually
-//! installs [`CountingAlloc`] as its global allocator (the one place in
-//! the workspace that does so unconditionally), so the tallies here come
-//! from real heap traffic.
+//! installs [`CountingAlloc`] as its global allocator (as does
+//! `alloc_live.rs`, which holds the live-bytes delta check alone in its
+//! process), so the tallies here come from real heap traffic.
 
 use qa_obs::Observer;
-use qa_pulse::{CountingAlloc, HeapStats, SpanProfiler, Weight};
+use qa_pulse::{CountingAlloc, SpanProfiler, Weight};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
-
-#[test]
-fn installed_allocator_counts_real_traffic() {
-    let before = HeapStats::snapshot();
-    let v: Vec<u8> = vec![7; 1 << 16];
-    let mid = HeapStats::snapshot();
-    drop(v);
-    let after = HeapStats::snapshot();
-
-    assert!(mid.enabled(), "allocator is installed");
-    assert!(
-        mid.allocated_bytes - before.allocated_bytes >= 1 << 16,
-        "the 64 KiB buffer is visible in the monotone total"
-    );
-    assert!(mid.live_bytes >= before.live_bytes + (1 << 16));
-    assert!(after.frees > before.frees);
-    assert!(after.peak_bytes >= mid.live_bytes.min(mid.peak_bytes));
-}
 
 #[test]
 fn heap_gauges_appear_on_the_scrape_when_accounting_is_live() {

@@ -5,7 +5,7 @@
 //! cargo run --example mso_queries
 //! ```
 
-use query_automata::mso::{compile_string, naive, query_eval, to_qa, unranked};
+use query_automata::mso::{compile_string, naive, to_qa, unranked, PreparedUnary};
 use query_automata::prelude::*;
 
 fn main() -> Result<()> {
@@ -50,7 +50,7 @@ fn main() -> Result<()> {
     let tree = from_sexpr("(a b (a b b) a b)", &mut names3)?;
     let chi = parse_mso("label(v, b) & !(ex w. (w < v & label(w, b)))", &mut names3)?;
     let automaton = unranked::compile_unary(&chi, "v", sigma.len())?;
-    let fast = query_eval::eval_unary_unranked(&automaton, &tree, sigma.len());
+    let fast = PreparedUnary::new(&automaton, sigma.len()).eval_unranked(&tree);
     let slow = naive::query(naive::Structure::Tree(&tree), &chi, "v")?;
     println!(
         "\n\"first b among siblings\" on {}:\n  two-pass (Fig. 6): {fast:?}\n  naive MSO:        {slow:?}",

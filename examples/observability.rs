@@ -51,7 +51,7 @@ fn main() {
     let mut fig5_trace = RunTrace::new();
     let selected = {
         let mut tee = Tee(fig5_metrics.observer(), &mut fig5_trace);
-        query_automata::mso::query_eval::eval_unary_ranked_with(&d, &tree, 2, &mut tee)
+        query_automata::mso::PreparedUnary::new(&d, 2).eval_ranked_with(&tree, &mut tee)
     };
     println!("\n=== Figure 5 ranked evaluation ===");
     println!("selected {} of {} nodes", selected.len(), tree.num_nodes());

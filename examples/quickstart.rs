@@ -38,7 +38,7 @@ fn main() -> Result<()> {
     )?;
     let automaton = query_automata::mso::unranked::compile_unary(&phi, "v", sigma.len())?;
     let compiled =
-        query_automata::mso::query_eval::eval_unary_unranked(&automaton, &tree, sigma.len());
+        query_automata::mso::PreparedUnary::new(&automaton, sigma.len()).eval_unranked(&tree);
     println!("MSO compilation selects {compiled:?}");
     assert_eq!(
         {

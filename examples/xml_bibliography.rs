@@ -6,7 +6,7 @@
 //! cargo run --example xml_bibliography
 //! ```
 
-use query_automata::mso::{query_eval, unranked};
+use query_automata::mso::{unranked, PreparedUnary};
 use query_automata::prelude::*;
 use query_automata::xml::{figures, validate};
 
@@ -49,7 +49,7 @@ fn main() -> Result<()> {
         let mut a = names.clone();
         let phi = parse_mso(src, &mut a)?;
         let compiled = unranked::compile_unary(&phi, "v", sigma)?;
-        let selected = query_eval::eval_unary_unranked(&compiled, &doc.tree, sigma);
+        let selected = PreparedUnary::new(&compiled, sigma).eval_unranked(&doc.tree);
         println!("{what}:");
         for v in selected {
             let label = names.name(doc.tree.label(v));

@@ -2,7 +2,7 @@
 //! crate would run.
 
 use query_automata::decision::{ranked_decisions, string_decisions, tiling};
-use query_automata::mso::{compile_string, naive, query_eval, to_qa, unranked};
+use query_automata::mso::{compile_string, naive, to_qa, unranked, PreparedUnary};
 use query_automata::prelude::*;
 use query_automata::xml::{figures, validate};
 
@@ -22,7 +22,7 @@ fn bibliography_pipeline() {
     )
     .unwrap();
     let compiled = unranked::compile_unary(&phi, "v", doc.alphabet.len()).unwrap();
-    let selected = query_eval::eval_unary_unranked(&compiled, &doc.tree, doc.alphabet.len());
+    let selected = PreparedUnary::new(&compiled, doc.alphabet.len()).eval_unranked(&doc.tree);
     // the book has exactly 3 authors; the article's author is not selected
     assert_eq!(selected.len(), 3);
     let author = doc.alphabet.symbol("author");
@@ -228,7 +228,7 @@ fn stay_transitions_add_query_power_not_language_power() {
     let compiled = unranked::compile_unary(&phi, "v", sigma.len()).unwrap();
     let t = from_sexpr("(0 1 1 (1 0 1) 1)", &mut names).unwrap();
     let mut via_sqa = sqa.query(&t).unwrap();
-    let mut via_mso = query_eval::eval_unary_unranked(&compiled, &t, sigma.len());
+    let mut via_mso = PreparedUnary::new(&compiled, sigma.len()).eval_unranked(&t);
     via_sqa.sort_unstable();
     via_mso.sort_unstable();
     assert_eq!(via_sqa, via_mso);

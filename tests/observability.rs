@@ -161,9 +161,10 @@ fn fig5_eval_parity_and_phases() {
     let phi = parse_mso("leaf(v) & (ex r. (root(r) & label(r, s)))", &mut a).unwrap();
     let d = query_automata::mso::compile_ranked::compile_unary(&phi, "v", 2, 2).unwrap();
     let t = query_automata::trees::generate::complete(a.symbol("s"), 2, 6);
-    let plain = query_automata::mso::query_eval::eval_unary_ranked(&d, &t, 2);
+    let prepared = query_automata::mso::PreparedUnary::new(&d, 2);
+    let plain = prepared.eval_ranked_with(&t, &mut NoopObserver);
     let mut trace = RunTrace::new();
-    let observed = query_automata::mso::query_eval::eval_unary_ranked_with(&d, &t, 2, &mut trace);
+    let observed = prepared.eval_ranked_with(&t, &mut trace);
     assert_eq!(plain, observed);
     let names: Vec<&str> = trace.phases.iter().map(|p| p.name).collect();
     assert_eq!(names, ["bottom-up pass", "top-down pass", "verdicts"]);

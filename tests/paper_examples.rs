@@ -3,7 +3,7 @@
 //! These double as executable documentation: each test's comment cites the
 //! example it reproduces and the behavior the paper describes for it.
 
-use query_automata::mso::{compile_string, naive, unranked};
+use query_automata::mso::{compile_string, naive, unranked, PreparedUnary};
 use query_automata::prelude::*;
 
 /// Example 2.1/2.2: the MSO sentence defining chains of even length
@@ -114,7 +114,7 @@ fn example_5_14_three_way_agreement() {
         &mut a2,
     )
     .unwrap();
-    let compiled = unranked::compile_unary(&phi, "v", 2).unwrap();
+    let compiled = PreparedUnary::new(&unranked::compile_unary(&phi, "v", 2).unwrap(), 2);
     for src in [
         "1",
         "(0 1 0 1)",
@@ -128,7 +128,7 @@ fn example_5_14_three_way_agreement() {
             .into_iter()
             .map(NodeId::from_index)
             .collect();
-        let mut via_auto = query_automata::mso::query_eval::eval_unary_unranked(&compiled, &t, 2);
+        let mut via_auto = compiled.eval_unranked(&t);
         via_sqa.sort_unstable();
         via_naive.sort_unstable();
         via_auto.sort_unstable();
@@ -165,11 +165,12 @@ fn remark_4_5_two_sided_query() {
     )
     .unwrap();
     let d = query_automata::mso::compile_ranked::compile_unary(&phi, "v", 2, 2).unwrap();
+    let prepared = PreparedUnary::new(&d, 2);
     let mut names = a.clone();
     // root labeled s: all leaves selected (and the root too: it has an
     // s-leaf below iff some leaf is s).
     let t = from_sexpr("(s (t s t) t)", &mut names).unwrap();
-    let selected = query_automata::mso::query_eval::eval_unary_ranked(&d, &t, 2);
+    let selected = prepared.eval_ranked_with(&t, &mut NoopObserver);
     let leaves: Vec<NodeId> = t.leaves().collect();
     for l in &leaves {
         assert!(selected.contains(l));
@@ -177,7 +178,7 @@ fn remark_4_5_two_sided_query() {
     assert!(selected.contains(&t.root()), "s-leaf exists");
     // root not s, no s leaves: nothing selected
     let t2 = from_sexpr("(t (t t) t)", &mut names).unwrap();
-    assert!(query_automata::mso::query_eval::eval_unary_ranked(&d, &t2, 2).is_empty());
+    assert!(prepared.eval_ranked_with(&t2, &mut NoopObserver).is_empty());
 }
 
 /// Section 1's flagship: "select all leaves if the root is labeled σ" —
@@ -187,11 +188,11 @@ fn remark_4_5_two_sided_query() {
 fn flagship_root_conditional_leaf_selection() {
     let mut a = Alphabet::from_names(["sig", "tau"]);
     let phi = parse_mso("leaf(v) & (ex r. (root(r) & label(r, sig)))", &mut a).unwrap();
-    let d = unranked::compile_unary(&phi, "v", 2).unwrap();
+    let d = PreparedUnary::new(&unranked::compile_unary(&phi, "v", 2).unwrap(), 2);
     let mut names = a.clone();
     let yes = from_sexpr("(sig tau (tau sig) tau)", &mut names).unwrap();
-    let sel = query_automata::mso::query_eval::eval_unary_unranked(&d, &yes, 2);
+    let sel = d.eval_unranked(&yes);
     assert_eq!(sel.len(), yes.leaves().count());
     let no = from_sexpr("(tau sig sig)", &mut names).unwrap();
-    assert!(query_automata::mso::query_eval::eval_unary_unranked(&d, &no, 2).is_empty());
+    assert!(d.eval_unranked(&no).is_empty());
 }

@@ -3,7 +3,7 @@
 //! every failure reproduces from its printed seed.
 
 use query_automata::base::rng::{Rng, StdRng};
-use query_automata::mso::{compile_string, naive, query_eval, unranked};
+use query_automata::mso::{compile_string, naive, query_eval, unranked, PreparedUnary};
 use query_automata::prelude::*;
 use query_automata::strings::{ops, Regex};
 use query_automata::twoway::{behavior::BehaviorAnalysis, crossing, shepherdson};
@@ -188,12 +188,12 @@ fn example_5_14_equals_mso_query() {
         &mut a,
     )
     .unwrap();
-    let automaton = unranked::compile_unary(&phi, "v", 2).unwrap();
+    let automaton = PreparedUnary::new(&unranked::compile_unary(&phi, "v", 2).unwrap(), 2);
     let mut rng = StdRng::seed_from_u64(107);
     for case in 0..48 {
         let t = random_tree(&mut rng, 24);
         let mut via_sqa = sqa.query(&t).unwrap();
-        let mut via_mso = query_eval::eval_unary_unranked(&automaton, &t, 2);
+        let mut via_mso = automaton.eval_unranked(&t);
         via_sqa.sort_unstable();
         via_mso.sort_unstable();
         assert_eq!(via_sqa, via_mso, "case {case}");
@@ -206,10 +206,11 @@ fn two_pass_matches_naive() {
     let mut a = Alphabet::from_names(["0", "1"]);
     let phi = parse_mso("leaf(v) & (ex r. (root(r) & label(r, 1)))", &mut a).unwrap();
     let d = unranked::compile_unary(&phi, "v", 2).unwrap();
+    let prepared = PreparedUnary::new(&d, 2);
     let mut rng = StdRng::seed_from_u64(108);
     for case in 0..48 {
         let t = random_tree(&mut rng, 20);
-        let mut fast = query_eval::eval_unary_unranked(&d, &t, 2);
+        let mut fast = prepared.eval_unranked(&t);
         let mut slow = query_eval::eval_unary_unranked_naive(&d, &t, 2);
         fast.sort_unstable();
         slow.sort_unstable();

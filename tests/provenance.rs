@@ -97,7 +97,7 @@ fn fig5_ranked_eval_certificates_name_the_marked_state() {
     let d = query_automata::mso::compile_ranked::compile_unary(&phi, "v", 2, 2).unwrap();
     let t = query_automata::trees::generate::complete(sigma.symbol("s"), 2, 3);
     let mut prov = ProvenanceObserver::new();
-    let selected = query_automata::mso::query_eval::eval_unary_ranked_with(&d, &t, 2, &mut prov);
+    let selected = query_automata::mso::PreparedUnary::new(&d, 2).eval_ranked_with(&t, &mut prov);
     assert_eq!(
         selected.len(),
         8,
