@@ -1,8 +1,8 @@
 //! E2 (Figure 5 / Theorem 4.8): ranked unary-query evaluation — the
 //! two-pass algorithm is linear, the naive per-node re-run quadratic.
 //! A live `MetricsObserver` arm shows the cost of counting. Each two-pass
-//! arm prepares (totalizes) the query inside the timed closure, so the
-//! figures include the per-call totalization.
+//! arm prepares the query (builds its transition tables) inside the timed
+//! closure, so the figures include that per-call set-up.
 
 use qa_base::Alphabet;
 use qa_bench::Harness;

@@ -571,14 +571,14 @@ fn with_par_batch<R>(f: impl FnOnce(&[qa_par::Job<'_>], &qa_core::ranked::Dbta) 
         })
         .collect();
 
-    // A compiled MSO unary query: the prepared form pays totalization once
-    // per batch instead of once per document.
+    // A compiled MSO unary query: the prepared form builds its transition
+    // tables once per batch instead of once per document.
     let mut ma = Alphabet::from_names(["s", "t"]);
     let phi = qa_mso::parse("leaf(v) & (ex r. (root(r) & label(r, s)))", &mut ma).unwrap();
     let dbta = qa_mso::compile_ranked::compile_unary(&phi, "v", 2, 2).unwrap();
     let prepared = qa_mso::PreparedUnary::new(&dbta, 2);
     // Small complete trees (heights 2..4): evaluation itself is cheap, so
-    // the per-call totalization that `PreparedUnary` amortizes dominates.
+    // the per-call table building that `PreparedUnary` amortizes dominates.
     let mtrees: Vec<Tree> = (2..5)
         .map(|h| qa_trees::generate::complete(ma.symbol("s"), 2, h))
         .collect();
@@ -651,7 +651,7 @@ fn par_bench_inner(gate: bool, jobs: &[qa_par::Job<'_>], dbta: &qa_core::ranked:
     const WORKERS: usize = 4;
 
     // Baseline: the plain uncached engines, one job after another (for the
-    // MSO jobs that includes the per-call totalization the prepared form
+    // MSO jobs that includes the per-call table building the prepared form
     // amortizes away).
     let seq_run = || -> Vec<Outcome> {
         jobs.iter()

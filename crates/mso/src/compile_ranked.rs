@@ -531,6 +531,7 @@ mod tests {
             let mut a = Alphabet::from_names(["s", "t"]);
             let f = parse(src, &mut a).unwrap();
             let d = compile_unary(&f, "v", a.len(), 2).unwrap();
+            crate::query_eval::assert_tables_match_totalize(&d);
             let prepared = PreparedUnary::new(&d, a.len());
             for t in random_trees(2, 2, 4, 7 + i as u64) {
                 let naive = query(Structure::Tree(&t), &f, "v").unwrap();

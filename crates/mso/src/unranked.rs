@@ -237,7 +237,8 @@ mod tests {
     /// Every unary formula, on every random tree, selects the same nodes
     /// through the compiled automaton ([`selects_unranked`]), through the
     /// served path ([`PreparedUnary::eval_unranked`]), and under the naive
-    /// MSO semantics — the independent oracle.
+    /// MSO semantics — the independent oracle. The served path's dense
+    /// tables must equal `ops::totalize` entry for entry.
     #[test]
     fn unary_query_on_unranked_trees() {
         let table = [
@@ -256,6 +257,7 @@ mod tests {
             let sigma = a.len();
             let f = parse(src, &mut a).unwrap();
             let d = compile_unary(&f, "v", sigma).unwrap();
+            crate::query_eval::assert_tables_match_totalize(&d);
             let prepared = PreparedUnary::new(&d, sigma);
             for t in random_unranked(sigma, 3, 18 + i as u64) {
                 let naive = query(Structure::Tree(&t), &f, "v").unwrap();

@@ -101,10 +101,11 @@ pub enum Job<'a> {
         tree: &'a Tree,
     },
     /// Evaluate a compiled MSO unary query on a ranked tree (Figure 5).
-    /// The [`PreparedUnary`] *is* the cache here — totalization is paid
-    /// once at construction, outside the batch. Yields [`Outcome::Nodes`].
+    /// The [`PreparedUnary`] *is* the cache here — its transition tables
+    /// are built once at construction, outside the batch. Yields
+    /// [`Outcome::Nodes`].
     Mso {
-        /// The prepared (pre-totalized) compiled query.
+        /// The prepared compiled query.
         query: &'a PreparedUnary,
         /// The input tree.
         tree: &'a Tree,

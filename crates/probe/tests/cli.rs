@@ -129,9 +129,10 @@ fn chrome_export_names_process_and_threads() {
 }
 
 /// A synthetic ten-job wide-event log: two queries, one with perfectly
-/// quadratic growth (steps = 2·n²) and one constant.
-fn write_events_log() -> String {
-    let path = tmp("events.jsonl");
+/// quadratic growth (steps = 2·n²) and one constant. Written to `name`:
+/// tests run in parallel, so each caller needs its own file.
+fn write_events_log(name: &str) -> String {
+    let path = tmp(name);
     let mut log = String::new();
     for i in 1u64..=5 {
         let n = 10 * i;
@@ -170,7 +171,7 @@ fn write_events_log() -> String {
 
 #[test]
 fn analyze_reports_heavy_hitters_outliers_and_growth() {
-    let events = write_events_log();
+    let events = write_events_log("events-analyze.jsonl");
 
     let top = qa_trace(&["analyze", "top", &events, "--k", "2"]);
     assert!(top.status.success());
@@ -214,7 +215,7 @@ fn analyze_reports_heavy_hitters_outliers_and_growth() {
 
 #[test]
 fn analyze_slo_replays_rules_offline_and_signals_firing() {
-    let events = write_events_log();
+    let events = write_events_log("events-slo.jsonl");
     let rules = tmp("steps.rules");
     std::fs::write(
         &rules,

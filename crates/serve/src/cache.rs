@@ -36,7 +36,7 @@ pub struct CompiledQuery {
     pub sigma: usize,
     /// States of the compiled (pre-totalization) automaton.
     pub states: usize,
-    /// The totalized evaluator (Figure 6 two-pass, FCNS-encoded).
+    /// The dense-table evaluator (Figure 6 two-pass, FCNS-encoded).
     pub prepared: PreparedUnary,
 }
 

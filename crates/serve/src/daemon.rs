@@ -233,7 +233,9 @@ impl ServeDaemon {
         self.server.local_addr()
     }
 
-    /// The served metrics registry.
+    /// The served metrics registry. A query's evaluation counters (steps,
+    /// table lookups, …) land in it once, when the request's evaluation
+    /// finishes, not while it runs.
     pub fn metrics(&self) -> &Arc<Metrics> {
         self.core.metrics()
     }
@@ -461,12 +463,13 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
             }),
         );
     };
-    let (tree, labels, doc_id, doc_depth): (Arc<Tree>, Alphabet, usize, usize) = {
+    // The alphabet is only needed to name labels in `why_selected`.
+    let (tree, labels, doc_id, doc_depth): (Arc<Tree>, Option<Alphabet>, usize, usize) = {
         let store = core.store.read().expect("store lock poisoned");
         match (store.get(doc_name), store.id_of(doc_name)) {
             (Some(doc), Some(id)) => (
                 Arc::clone(&doc.tree),
-                store.alphabet().clone(),
+                parsed.why.then(|| store.alphabet().clone()),
                 id,
                 doc.height,
             ),
@@ -474,10 +477,11 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         }
     };
     // Dispatch onto the work-stealing pool under a per-request budget.
-    // The chain tees the shared registry (daemon-lifetime totals), a
-    // per-request registry (the wide event's exact counters), and — for
-    // `"explain": true` — a per-state profiler; NoopObserver keeps the
-    // scope arm zero-cost for everyone else.
+    // The chain tees a per-request registry (the wide event's exact
+    // counters) and — for `"explain": true` — a per-state profiler;
+    // NoopObserver keeps the scope arm zero-cost for everyone else. The
+    // per-request registry is folded into the shared one once, when the
+    // job ends, so pool workers do not contend on its counters per node.
     let budget = Budget::steps(core.cfg.max_steps)
         .with_wall(Duration::from_millis(core.cfg.max_wall_ms))
         .with_wall_poll_every(64);
@@ -495,13 +499,7 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         } else {
             Sampled::Light(NoopObserver)
         };
-        let mut dog = Watchdog::new(
-            Tee(
-                job_metrics.observer(),
-                Tee(job_req_metrics.observer(), scope_arm),
-            ),
-            budget,
-        );
+        let mut dog = Watchdog::new(Tee(job_req_metrics.observer(), scope_arm), budget);
         let explained = if why {
             job_query
                 .prepared
@@ -518,7 +516,8 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         if tripped.is_some() {
             job_metrics.count(Counter::BudgetTrips, 1);
         }
-        let Tee(_, Tee(_, scope_arm)) = dog.into_inner();
+        job_metrics.merge(&job_req_metrics);
+        let Tee(_, scope_arm) = dog.into_inner();
         let _ = tx.send((explained, tripped, scope_arm.full()));
     }));
     if !submitted {
@@ -595,7 +594,7 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
             w.field_u64("states", compiled.states as u64);
             w.field_u64("count", explained.len() as u64);
             w.field_u64_array("selected", explained.iter().map(|(v, _)| v.index() as u64));
-            if why {
+            if let Some(labels) = &labels {
                 w.field_raw(
                     "why_selected",
                     &json::array(explained.iter().map(|(v, state)| {

@@ -16,8 +16,9 @@
 //!   evaluations onto a resident [`WorkPool`](qa_par::WorkPool) under
 //!   per-request [`Watchdog`](qa_flight::Watchdog) budgets, sheds with
 //!   `429 Retry-After` past a configurable queue depth, and feeds every
-//!   counter into the served metrics registry so
-//!   [`qa_sentinel`] alerting works out of the box;
+//!   counter into the served metrics registry (a query's evaluation
+//!   counters once, when its evaluation finishes) so [`qa_sentinel`]
+//!   alerting works out of the box;
 //! - [`run_soak`] is the deterministic load harness behind
 //!   `qa-serve --soak`, gating correctness (served node sets equal the
 //!   batch evaluation), shed behavior, and client-observed p99 latency.

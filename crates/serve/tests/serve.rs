@@ -397,6 +397,71 @@ fn metrics_expose_the_serving_families_as_valid_prometheus() {
     daemon.shutdown();
 }
 
+/// `qa_serve_<name>_total` from a `/metrics` scrape.
+fn scraped_total(addr: std::net::SocketAddr, name: &str) -> u64 {
+    let scrape = http_get(addr, "/metrics", timeouts()).expect("GET /metrics");
+    let key = format!("qa_serve_{name}_total ");
+    scrape
+        .body
+        .lines()
+        .find_map(|l| l.strip_prefix(key.as_str()))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {}", scrape.body))
+}
+
+#[test]
+fn metrics_totals_equal_the_per_request_counters_under_a_concurrent_burst() {
+    let daemon = ServeDaemon::start(quiet_config()).expect("daemon starts");
+    let addr = daemon.addr();
+    assert_eq!(put_doc(addr, "small", "(a (b c) (b (a c)))").status, 200);
+    assert_eq!(put_doc(addr, "wide", "(a b b c b a (b c c) a)").status, 200);
+    let registered = post_query(
+        addr,
+        &json::object(|w| {
+            w.field_str("formula", "ex w. (edge(w, v) & label(w, b))");
+            w.field_str("register", "under-b");
+        }),
+    );
+    assert_eq!(registered.status, 200, "{}", registered.body);
+    let requests: Vec<String> = (0..16)
+        .map(|i| {
+            json::object(|w| {
+                w.field_str("id", "under-b");
+                w.field_str("doc", if i % 2 == 0 { "small" } else { "wide" });
+                w.field_bool("why", i % 3 == 0);
+            })
+        })
+        .collect();
+
+    // Every evaluation so far is the burst's: /metrics must hold exactly
+    // the sum of the wide events' per-request counters once the last
+    // response is in.
+    std::thread::scope(|scope| {
+        for body in &requests {
+            scope.spawn(move || {
+                let resp = post_query(addr, body);
+                assert_eq!(resp.status, 200, "{}", resp.body);
+            });
+        }
+    });
+    let tail = http_get(addr, "/events?n=100", timeouts()).expect("GET /events");
+    let events = qa_flight::parse_events(&tail.body).expect("ring parses");
+    assert_eq!(events.len(), requests.len(), "{}", tail.body);
+    let event_steps: u64 = events.iter().map(|e| e.steps).sum();
+    assert!(event_steps > 0);
+    assert_eq!(scraped_total(addr, "steps"), event_steps);
+    let burst_lookups = scraped_total(addr, "table_lookups");
+    assert!(burst_lookups > 0);
+
+    // The same requests one at a time add exactly as many table lookups.
+    for body in &requests {
+        assert_eq!(post_query(addr, body).status, 200);
+    }
+    assert_eq!(scraped_total(addr, "table_lookups"), 2 * burst_lookups);
+    assert_eq!(scraped_total(addr, "steps"), 2 * event_steps);
+    daemon.shutdown();
+}
+
 #[test]
 fn deeply_nested_bodies_and_formulas_get_4xx_and_the_daemon_stays_up() {
     let daemon = ServeDaemon::start(quiet_config()).expect("daemon starts");

@@ -29,16 +29,18 @@ pub fn encode_with_map(t: &Tree, nil: Symbol) -> (Tree, Vec<Option<NodeId>>) {
         }
         map[enc.index()] = src;
     };
-    // stack of (source node, encoded node) whose two children remain to add
-    let mut stack = vec![(t.root(), out.root())];
-    while let Some((src, dst)) = stack.pop() {
+    // stack of (source node, its index among its siblings, encoded node)
+    // whose two children remain to add; carrying the index finds the next
+    // sibling in O(1), so wide nodes encode in linear time
+    let mut stack = vec![(t.root(), 0, out.root())];
+    while let Some((src, idx, dst)) = stack.pop() {
         debug_assert!(t.label(src) != nil, "nil label occurs in the source tree");
         // left = first child
         match t.children(src).first() {
             Some(&fc) => {
                 let d = out.add_child(dst, t.label(fc));
                 record(&mut map, d, Some(fc));
-                stack.push((fc, d));
+                stack.push((fc, 0, d));
             }
             None => {
                 let d = out.add_child(dst, nil);
@@ -46,11 +48,14 @@ pub fn encode_with_map(t: &Tree, nil: Symbol) -> (Tree, Vec<Option<NodeId>>) {
             }
         }
         // right = next sibling
-        match next_sibling(t, src) {
+        let next = t
+            .parent(src)
+            .and_then(|p| t.children(p).get(idx + 1).copied());
+        match next {
             Some(ns) => {
                 let d = out.add_child(dst, t.label(ns));
                 record(&mut map, d, Some(ns));
-                stack.push((ns, d));
+                stack.push((ns, idx + 1, d));
             }
             None => {
                 let d = out.add_child(dst, nil);
@@ -186,6 +191,29 @@ mod tests {
                 None => assert_eq!(enc.label(v), nil),
             }
         }
+    }
+
+    #[test]
+    fn wide_nodes_encode_in_linear_time() {
+        // A flat root with 200k children: finding each next sibling by
+        // scanning the parent's child list would make this quadratic
+        // (seconds); walking the list by index keeps it well under one.
+        let (_, nil) = setup();
+        let a = Symbol::from_index(0);
+        let mut t = Tree::leaf(a);
+        for _ in 0..200_000 {
+            t.add_child(t.root(), a);
+        }
+        let (enc, map) = encode_with_map(&t, nil);
+        assert_eq!(enc.num_nodes(), 2 * t.num_nodes() + 1);
+        // arena numbering: child 0 right under the root, then child i
+        // after child i−1's nil first child
+        let kids = t.children(t.root());
+        assert_eq!(map[1], Some(kids[0]));
+        for (i, &c) in kids.iter().enumerate().skip(1) {
+            assert_eq!(map[2 * i + 2], Some(c));
+        }
+        assert_eq!(decode(&enc, nil), t);
     }
 
     #[test]
